@@ -13,15 +13,26 @@ is tracked across PRs:
   timed (n=11 must certify in under 10 s);
 * the local-search hot path at ``n = 12``: objective evaluations with and
   without incremental delta scoring (the delta path must save at least
-  3x), plus the certified two-tier delta against the exact-Fraction one.
+  3x), plus the certified two-tier delta against the exact-Fraction one;
+* one-port (INORDER/OUTORDER) period solves: the value, the objective
+  evaluations, the Bellman–Ford passes of the MCR solver
+  (``_find_positive_cycle`` calls) and the communication-order
+  configurations tried (``inorder_period_for_orders`` calls), counted by
+  wrappers installed around each solve as ``perfbench`` counts them —
+  branch and bound over forests, plus fixed DAGs solved exactly.
 """
 
+import contextlib
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 
+import repro.cyclic.mcr
+import repro.optimize.evaluation
+import repro.scheduling.inorder
 from repro.analysis import text_table
-from repro.core import CommModel, Exactness
+from repro.core import CommModel, ExecutionGraph, Exactness, make_application
 from repro.optimize import (
     IncrementalForestPeriod,
     greedy_forest,
@@ -31,7 +42,7 @@ from repro.optimize import (
     period_delta,
 )
 from repro.optimize.evaluation import Effort
-from repro.planner import EvaluationCache, solve
+from repro.planner import EvaluationCache, load_workload, solve
 from repro.workloads.generators import random_application
 
 from bench_helpers import RESULTS_DIR, record
@@ -142,6 +153,93 @@ def _local_search_rows(n=12, seeds=(1, 2, 3)):
     return rows
 
 
+#: ``(module, attribute, count name)`` wrapped while a one-port row runs;
+#: the modules bind the names with ``from ... import``, so a name is
+#: wrapped where its callers look it up.
+_ONEPORT_COUNTERS = (
+    (repro.cyclic.mcr, "_find_positive_cycle", "mcr_passes"),
+    (repro.scheduling.inorder, "inorder_period_for_orders", "orders_tried"),
+    (repro.optimize.evaluation, "inorder_period_for_orders", "orders_tried"),
+)
+
+
+@contextlib.contextmanager
+def _counting():
+    """Count the :data:`_ONEPORT_COUNTERS` calls made inside the block."""
+    counts = Counter()
+
+    def counted(function, name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    originals = []
+    for module, attr, name in _ONEPORT_COUNTERS:
+        function = getattr(module, attr)
+        originals.append((module, attr, function))
+        setattr(module, attr, counted(function, name))
+    try:
+        yield counts
+    finally:
+        for module, attr, function in originals:
+            setattr(module, attr, function)
+
+
+def _dense7_graph():
+    """A 7-service DAG with 13 824 communication-order configurations."""
+    app = make_application([
+        ("s0", 4, 2), ("s1", 3, F(1, 2)), ("s2", 1, 2), ("s3", 3, F(3, 2)),
+        ("s4", 5, F(1, 2)), ("s5", 3, 1), ("s6", 3, 1),
+    ])
+    return ExecutionGraph(app, [
+        ("s0", "s1"), ("s0", "s2"), ("s0", "s4"), ("s0", "s5"), ("s1", "s3"),
+        ("s1", "s4"), ("s1", "s5"), ("s2", "s3"), ("s3", "s5"), ("s3", "s6"),
+        ("s4", "s6"),
+    ])
+
+
+def _oneport_row(ids, problem, **kwargs):
+    with _counting() as counts:
+        started = time.perf_counter()
+        result = solve(problem, objective="period", cache=EvaluationCache(),
+                       **kwargs)
+        wall = time.perf_counter() - started
+    row = {
+        **ids,
+        "value": str(result.value),
+        "evaluations": result.stats.evaluations,
+        "mcr_passes": counts["mcr_passes"],
+        "orders_tried": counts["orders_tried"],
+        "wall_s": round(wall, 4),
+    }
+    if result.plan is not None:
+        row["scheduled_value"] = str(result.scheduled_value)
+    return row
+
+
+def _oneport_rows():
+    rows = []
+    for model in ("inorder", "outorder"):
+        # Branch and bound over forests (objective values only).
+        for n, seed in [(6, 0), (7, 4), (8, 0)]:
+            rows.append(_oneport_row(
+                {"n": n, "seed": seed, "mode": model},
+                random_application(n, seed=seed),
+                model=model, method="branch-and-bound", schedule=False,
+            ))
+        # Fixed DAGs, exact order search: value and plan.
+        for label in ("fig1", "random:n=6,seed=1,graph=random",
+                      "random:n=7,seed=4,graph=random", "dense7"):
+            graph = (_dense7_graph() if label == "dense7"
+                     else load_workload(label).graph)
+            rows.append(_oneport_row(
+                {"label": label, "mode": model}, graph,
+                model=model, effort="exact",
+            ))
+    return rows
+
+
 def test_search_performance(benchmark):
     def run():
         # Seeds chosen so the bound does real work (the incumbent is not
@@ -153,9 +251,11 @@ def test_search_performance(benchmark):
                             (10, 4), (11, 4)]
         ]
         ls_rows = _local_search_rows()
-        return bb_rows, ls_rows
+        return bb_rows, ls_rows, _oneport_rows()
 
-    bb_rows, ls_rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    bb_rows, ls_rows, oneport_rows = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
 
     # --- assertions: the shape the ISSUE promises -----------------------
     for row in bb_rows:
@@ -175,10 +275,21 @@ def test_search_performance(benchmark):
         # delta path only re-scores through the objective zero times here,
         # so guard the denominator.
         assert row["evaluations_full"] >= 3 * max(row["evaluations_delta"], 1)
+    by_id = {}
+    for row in oneport_rows:
+        # The exact value is the plan's period, and every order
+        # configuration tried costs at least one Bellman-Ford pass.
+        assert row.get("scheduled_value", row["value"]) == row["value"], row
+        assert row["mcr_passes"] >= row["orders_tried"] > 0, row
+        by_id.setdefault(row.get("label", (row.get("n"), row.get("seed"))),
+                         {})[row["mode"]] = F(row["value"])
+    for values in by_id.values():
+        assert values["outorder"] <= values["inorder"], values
 
     payload = {
         "branch_and_bound": bb_rows,
         "local_search_incremental": ls_rows,
+        "oneport_period": oneport_rows,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_search.json").write_text(
@@ -210,6 +321,16 @@ def test_search_performance(benchmark):
             for r in ls_rows
         ],
     )
+    oneport_table = text_table(
+        ["instance", "model", "value", "evals", "MCR passes", "orders tried",
+         "wall s"],
+        [
+            [r.get("label", f"random:n={r.get('n')},seed={r.get('seed')}"),
+             r["mode"], r["value"], r["evaluations"], r["mcr_passes"],
+             r["orders_tried"], r["wall_s"]]
+            for r in oneport_rows
+        ],
+    )
     record(
         "search_performance",
         "exact MinPeriod(OVERLAP): certified branch and bound vs the exact "
@@ -217,5 +338,8 @@ def test_search_performance(benchmark):
         + table
         + "\n\nlocal search at n=12: full evaluation vs incremental deltas "
         "(exact and certified tiers)\n"
-        + ls_table,
+        + ls_table
+        + "\n\none-port MinPeriod: branch and bound over forests, and exact "
+        "order search on fixed DAGs\n"
+        + oneport_table,
     )

@@ -21,15 +21,13 @@ produce the optimal INORDER period of ``23/3``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Tuple
 
 from ..core.service import Numeric, as_fraction
 
 
-@dataclass(frozen=True)
-class ConstraintEdge:
+class ConstraintEdge(NamedTuple):
     """One uniform constraint ``t_v >= t_u + weight - lambda * height``."""
 
     src: int

@@ -9,16 +9,28 @@ Hence the minimal feasible period is::
 with the convention that cycles of total height 0 must satisfy
 ``sum w <= 0`` (otherwise no period works and the system is infeasible).
 
-The solver uses exact rational *cycle raising*: starting from a lower bound,
-repeatedly run a longest-path Bellman–Ford with reduced costs
-``w - lambda * h``; every strictly positive cycle found raises ``lambda`` to
-that cycle's ratio.  Each iteration pins ``lambda`` to the ratio of an
-actual simple cycle, so the loop terminates with the exact maximum ratio —
-no floating point, no epsilon.
+The solver uses exact rational *cycle raising*: starting from a lower bound
+(the caller's *floor*, ideally the ratio of a known cycle), repeatedly run a
+longest-path Bellman–Ford with reduced costs ``w - lambda * h``; every
+strictly positive cycle found raises ``lambda`` to that cycle's ratio.  Each
+iteration pins ``lambda`` to the ratio of an actual simple cycle, so the
+loop terminates with the exact maximum ratio — no floating point, no
+epsilon.  A *cutoff* stops the raising early once ``lambda`` reaches it: an
+enumeration that only needs to know whether a graph beats its incumbent
+period learns "no" without pinning the exact ratio.
+
+Relaxation runs on plain integers: every reduced cost is multiplied by the
+common denominator of all weights and of ``lambda``.  Scaling every arc by
+one positive constant changes neither the sign of a cycle nor which
+longest path wins, so this is exact; earliest times are divided back
+afterwards.  A positive cycle is reported as soon as the predecessor
+graph closes one (such a cycle is always positive), usually after a few
+passes rather than the ``n`` that prove its existence.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -32,71 +44,114 @@ class InfeasibleScheduleError(ValueError):
     """The constraint graph has a positive cycle of height 0."""
 
 
+def _scaled_arcs(
+    edges: List[ConstraintEdge], lam: Fraction
+) -> Tuple[int, List[Tuple[int, int, int]]]:
+    """``(D, [(src, dst, D * (w - lam * h)), ...])`` with every entry an int.
+
+    ``D`` is the least common denominator of *lam* and every weight.
+    """
+    den = lam.denominator
+    for e in edges:
+        den = math.lcm(den, e.weight.denominator)
+    lam_scaled = lam.numerator * (den // lam.denominator)
+    arcs = [
+        (
+            e.src,
+            e.dst,
+            e.weight.numerator * (den // e.weight.denominator)
+            - lam_scaled * e.height,
+        )
+        for e in edges
+    ]
+    return den, arcs
+
+
+def _pred_cycle(
+    starts: List[int], pred: List[int], srcs: List[int]
+) -> Optional[List[int]]:
+    """A cycle of the predecessor graph reached backwards from *starts*.
+
+    Walks each start's predecessor chain; a chain that runs into itself
+    closes a cycle, one that runs into an earlier chain adds nothing new.
+    """
+    owner: Dict[int, int] = {}
+    for start in starts:
+        if start in owner:
+            continue  # on an earlier chain (or listed twice)
+        node = start
+        while node not in owner:
+            owner[node] = start
+            ei = pred[node]
+            if ei == -1:
+                break
+            node = srcs[ei]
+        else:
+            if owner[node] == start:
+                cycle = [node]
+                v = srcs[pred[node]]
+                while v != node:
+                    cycle.append(v)
+                    v = srcs[pred[v]]
+                return cycle
+    return None
+
+
 def _find_positive_cycle(
     n: int, edges: List[ConstraintEdge], lam: Fraction
 ) -> Optional[Tuple[Fraction, int]]:
     """Return ``(sum_w, sum_h)`` of a strictly positive cycle, else ``None``.
 
     Longest-path Bellman–Ford from a virtual source connected to every
-    event with length 0; a relaxation surviving ``n`` full passes exposes a
-    positive cycle, which is extracted through the predecessor array.
+    event with length 0.  Every relaxation strictly improves its target,
+    so a cycle of the predecessor graph has strictly positive reduced
+    weight: the graph is checked for one after each pass, which exposes a
+    positive cycle long before the ``n`` passes that prove one exists.
     """
     if n == 0 or not edges:
         return None
-    dist: List[Fraction] = [ZERO] * n
+    den, arcs = _scaled_arcs(edges, lam)
+    srcs = [e.src for e in edges]
+    dist = [0] * n
     pred: List[int] = [-1] * n  # index into `edges`
-    # Pre-extract hot-loop data; when everything is integral, plain ints
-    # make the relaxation passes several times faster than Fractions.
-    arcs = [(e.src, e.dst, e.weight - lam * e.height) for e in edges]
-    if all(r.denominator == 1 for _, _, r in arcs):
-        arcs = [(u, v, int(r)) for u, v, r in arcs]
-        dist = [0] * n  # type: ignore[list-item]
-    last_pass: List[int] = []
     for _ in range(n):
-        last_pass = []
+        updated: List[int] = []
         for ei, (src, dst, reduced) in enumerate(arcs):
             cand = dist[src] + reduced
             if cand > dist[dst]:
                 dist[dst] = cand
                 pred[dst] = ei
-                last_pass.append(dst)
-        if not last_pass:
+                updated.append(dst)
+        if not updated:
             return None
-    # Some node updated in the final pass leads backwards into a cycle of
-    # the predecessor graph; every such cycle has strictly positive reduced
-    # weight.  Walk with a visited set for robustness.
-    for start in last_pass:
-        seen: Dict[int, int] = {}
-        order: List[int] = []
-        node = start
-        while node not in seen and pred[node] != -1:
-            seen[node] = len(order)
-            order.append(node)
-            node = edges[pred[node]].src
-        if pred[node] == -1 and node not in seen:
-            continue  # chain ended without cycling; try another candidate
-        # nodes from seen[node] onwards form the cycle
-        cycle_nodes = order[seen[node]:]
-        cycle_w = ZERO
-        cycle_h = 0
-        for v in cycle_nodes:
-            e = edges[pred[v]]
-            cycle_w += e.weight
-            cycle_h += e.height
-        return cycle_w, cycle_h
+        cycle = _pred_cycle(updated, pred, srcs)
+        if cycle is not None:
+            reduced = sum(arcs[pred[v]][2] for v in cycle)
+            cycle_h = sum(edges[pred[v]].height for v in cycle)
+            return Fraction(reduced, den) + lam * cycle_h, cycle_h
     raise AssertionError("relaxation persisted but no cycle was extracted")
 
 
-def minimum_period(graph: EventGraph, floor: Numeric = 0) -> Fraction:
+def minimum_period(
+    graph: EventGraph, floor: Numeric = 0, *, cutoff: Optional[Numeric] = None
+) -> Fraction:
     """Smallest ``lambda >= floor`` making *graph*'s constraints feasible.
 
+    The result is exact whatever *floor* is; a *floor* equal to the ratio
+    of some cycle of *graph* (a proven lower bound) only saves raising
+    steps.  With a *cutoff*, raising stops as soon as ``lambda >= cutoff``
+    and that ``lambda`` is returned: the exact answer is then only known to
+    be at least *cutoff*.
+
     Raises :class:`InfeasibleScheduleError` when a positive cycle of height
-    0 exists (no period can satisfy the constraints).
+    0 exists (no period can satisfy the constraints) — unless the cutoff
+    stops the search first.
     """
     lam = as_fraction(floor)
+    limit = None if cutoff is None else as_fraction(cutoff)
     n = graph.n_events
     edges = graph.edges
-    while True:
+    while limit is None or lam < limit:
         found = _find_positive_cycle(n, edges, lam)
         if found is None:
             return lam
@@ -112,6 +167,7 @@ def minimum_period(graph: EventGraph, floor: Numeric = 0) -> Fraction:
                 f"(lambda={lam}, cycle ratio={ratio})"
             )
         lam = ratio
+    return lam
 
 
 def is_feasible(graph: EventGraph, lam: Numeric) -> bool:
@@ -128,21 +184,24 @@ def earliest_times(graph: EventGraph, lam: Numeric) -> Dict[object, Fraction]:
     """
     lam = as_fraction(lam)
     n = graph.n_events
-    dist: List[Fraction] = [ZERO] * n
     edges = graph.edges
-    for _ in range(n):
-        changed = False
-        for e in edges:
-            cand = dist[e.src] + e.weight - lam * e.height
-            if cand > dist[e.dst]:
-                dist[e.dst] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        if _find_positive_cycle(n, edges, lam) is not None:
-            raise InfeasibleScheduleError(f"period {lam} is infeasible")
-    return {graph.label(i): dist[i] for i in range(n)}
+    dist = [0] * n
+    den = 1
+    if edges:
+        den, arcs = _scaled_arcs(edges, lam)
+        for _ in range(n):
+            changed = False
+            for src, dst, reduced in arcs:
+                cand = dist[src] + reduced
+                if cand > dist[dst]:
+                    dist[dst] = cand
+                    changed = True
+            if not changed:
+                break
+        else:
+            if _find_positive_cycle(n, edges, lam) is not None:
+                raise InfeasibleScheduleError(f"period {lam} is infeasible")
+    return {graph.label(i): Fraction(dist[i], den) for i in range(n)}
 
 
 def brute_force_mcr(graph: EventGraph) -> Optional[Fraction]:

@@ -1,14 +1,17 @@
 """Orchestration: given an execution graph, build operation lists."""
 
 from .inorder import (
+    EXACT_ORDER_LIMIT,
     CommOrders,
     exact_inorder_period,
     greedy_orders,
     inorder_event_graph,
+    inorder_period,
     inorder_period_for_orders,
     inorder_schedule,
     inorder_schedule_for_orders,
     iter_all_orders,
+    operation_durations,
     order_space_size,
 )
 from .latency import (
@@ -28,6 +31,7 @@ from .oneport_overlap import (
 )
 from .outorder import (
     is_certified_optimal,
+    outorder_period,
     outorder_period_bound,
     outorder_schedule,
     repair_schedule,
@@ -35,6 +39,7 @@ from .outorder import (
 from .overlap import overlap_period_bound, schedule_period_overlap
 
 __all__ = [
+    "EXACT_ORDER_LIMIT",
     "CommOrders",
     "b3_oneport_period12_feasible",
     "best_latency_schedule",
@@ -43,15 +48,18 @@ __all__ = [
     "greedy_orders",
     "greedy_second_permutation",
     "inorder_event_graph",
+    "inorder_period",
     "inorder_period_for_orders",
     "inorder_schedule",
     "inorder_schedule_for_orders",
     "is_certified_optimal",
     "iter_all_orders",
     "minmax_two_permutations",
+    "operation_durations",
     "oneport_latency_schedule",
     "oneport_overlap_period",
     "order_space_size",
+    "outorder_period",
     "outorder_period_bound",
     "outorder_schedule",
     "overlap_latency_layered",

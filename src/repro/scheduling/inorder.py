@@ -81,7 +81,14 @@ class CommOrders:
         return CommOrders(incoming, outgoing)
 
 
-def _durations(costs: CostModel) -> Dict[Operation, Fraction]:
+#: Largest order space searched exhaustively, by the period objective
+#: (``Effort.EXACT``) and the schedulers alike, so a solve's value and its
+#: plan always come from the same orders.
+EXACT_ORDER_LIMIT = 50_000
+
+
+def operation_durations(costs: CostModel) -> Dict[Operation, Fraction]:
+    """Duration of every computation and communication under *costs*."""
     graph = costs.graph
     dur: Dict[Operation, Fraction] = {}
     for node in graph.nodes:
@@ -99,6 +106,44 @@ def server_sequence(node: str, orders: CommOrders) -> List[Operation]:
     return seq
 
 
+def _server_cycle_floor(
+    graph: ExecutionGraph,
+    orders: CommOrders,
+    dur: Dict[Operation, Fraction],
+) -> Fraction:
+    """The largest server-cycle ratio: a proven period lower bound.
+
+    A server's sequence closes into a height-1 cycle of the event graph
+    whose weight is the sum of its durations — the ratio of a real cycle,
+    hence at most the maximum cycle ratio.  The sum does not depend on
+    the orders, so the bound holds for every configuration.
+    """
+    # summed over one common denominator: plain ints instead of Fractions
+    den = 1
+    for d in dur.values():
+        den = math.lcm(den, d.denominator)
+    scaled = {op: d.numerator * (den // d.denominator) for op, d in dur.items()}
+    best = max(
+        sum(scaled[op] for op in server_sequence(node, orders))
+        for node in graph.nodes
+    )
+    return Fraction(best, den)
+
+
+def _event_graph(
+    graph: ExecutionGraph,
+    orders: CommOrders,
+    dur: Dict[Operation, Fraction],
+) -> EventGraph:
+    eg = EventGraph()
+    for node in graph.nodes:
+        seq = server_sequence(node, orders)
+        for a, b in zip(seq, seq[1:]):
+            eg.add_constraint(a, b, dur[a], height=0)
+        eg.add_constraint(seq[-1], seq[0], dur[seq[-1]], height=1)
+    return eg
+
+
 def inorder_event_graph(
     graph: ExecutionGraph,
     orders: Optional[CommOrders] = None,
@@ -110,14 +155,7 @@ def inorder_event_graph(
     if orders is None:
         orders = CommOrders.canonical(graph)
     costs = CostModel(graph, platform, mapping)
-    dur = _durations(costs)
-    eg = EventGraph()
-    for node in graph.nodes:
-        seq = server_sequence(node, orders)
-        for a, b in zip(seq, seq[1:]):
-            eg.add_constraint(a, b, dur[a], height=0)
-        eg.add_constraint(seq[-1], seq[0], dur[seq[-1]], height=1)
-    return eg
+    return _event_graph(graph, orders, operation_durations(costs))
 
 
 def inorder_period_for_orders(
@@ -126,8 +164,18 @@ def inorder_period_for_orders(
     *,
     platform: Optional[Platform] = None,
     mapping: Optional[Mapping] = None,
+    durations: Optional[Dict[Operation, Fraction]] = None,
+    floor: Optional[Fraction] = None,
+    cutoff: Optional[Fraction] = None,
 ) -> Fraction:
     """Optimal INORDER period for fixed communication orders (exact, MCR).
+
+    *durations* reuses the per-operation times of a prebuilt cost model
+    for the same configuration.  Cycle raising starts at *floor*, which
+    must be the ratio of a cycle of the event graph; it defaults to the
+    largest server-cycle ratio, the same for every order configuration.
+    With a *cutoff* the result is exact only below it: a value
+    ``>= cutoff`` just says these orders cannot get under *cutoff*.
 
     Example (on the Figure-1 graph the critical-path greedy orders reach
     the overall optimum 23/3; the canonical sorted orders only reach 9)::
@@ -139,8 +187,38 @@ def inorder_period_for_orders(
         >>> inorder_period_for_orders(graph, CommOrders.canonical(graph))
         Fraction(9, 1)
     """
-    eg = inorder_event_graph(graph, orders, platform=platform, mapping=mapping)
-    return minimum_period(eg)
+    if durations is None:
+        durations = operation_durations(CostModel(graph, platform, mapping))
+    if floor is None:
+        floor = _server_cycle_floor(graph, orders, durations)
+    return minimum_period(
+        _event_graph(graph, orders, durations), floor, cutoff=cutoff
+    )
+
+
+def _orders_plan(
+    costs: CostModel,
+    orders: Optional[CommOrders],
+    lam: Optional[Fraction] = None,
+) -> Plan:
+    """The operation list of *orders* at period *lam* (their MCR if ``None``).
+
+    ``orders=None`` stands for "every order configuration deadlocks": the
+    serialized fallback plan.
+    """
+    graph = costs.graph
+    if orders is None:
+        return _serialized_fallback(graph, costs.platform, costs.mapping)
+    dur = operation_durations(costs)
+    eg = _event_graph(graph, orders, dur)
+    if lam is None:
+        lam = minimum_period(eg, _server_cycle_floor(graph, orders, dur))
+    begins = earliest_times(eg, lam)
+    times = {op: (b, b + dur[op]) for op, b in begins.items()}
+    ol = OperationList(times, lam=lam)
+    return Plan(
+        graph, ol, CommModel.INORDER, platform=costs.platform, mapping=costs.mapping
+    )
 
 
 def inorder_schedule_for_orders(
@@ -160,14 +238,7 @@ def inorder_schedule_for_orders(
         >>> plan.period, plan.is_valid()
         (Fraction(23, 3), True)
     """
-    costs = CostModel(graph, platform, mapping)
-    dur = _durations(costs)
-    eg = inorder_event_graph(graph, orders, platform=platform, mapping=mapping)
-    lam = minimum_period(eg)
-    begins = earliest_times(eg, lam)
-    times = {op: (b, b + dur[op]) for op, b in begins.items()}
-    ol = OperationList(times, lam=lam)
-    return Plan(graph, ol, CommModel.INORDER, platform=platform, mapping=costs.mapping)
+    return _orders_plan(CostModel(graph, platform, mapping), orders)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +352,51 @@ def _serialized_fallback(
     return plan
 
 
+def _best_orders(
+    costs: CostModel,
+) -> Tuple[Optional[Fraction], Optional[CommOrders]]:
+    """``(lambda, orders)`` of the first best order configuration.
+
+    Enumerates :func:`iter_all_orders`; ``(None, None)`` when every
+    configuration deadlocks.  A configuration stops cycle raising once it
+    reaches the incumbent period (it cannot win: ties keep the earlier
+    one), and the search stops at the first configuration meeting the
+    server-cycle floor, which no configuration can beat.
+    """
+    graph = costs.graph
+    dur = operation_durations(costs)
+    floor = _server_cycle_floor(graph, CommOrders.canonical(graph), dur)
+    best_lam: Optional[Fraction] = None
+    best_orders: Optional[CommOrders] = None
+    for orders in iter_all_orders(graph):
+        try:
+            lam = inorder_period_for_orders(
+                graph, orders, durations=dur, floor=floor, cutoff=best_lam
+            )
+        except InfeasibleScheduleError:
+            continue
+        if best_lam is None or lam < best_lam:
+            best_lam, best_orders = lam, orders
+            if lam == floor:
+                break  # no configuration can do better
+    return best_lam, best_orders
+
+
+def _greedy_choice(
+    costs: CostModel,
+) -> Tuple[Optional[Fraction], Optional[CommOrders]]:
+    """``(lambda, orders)`` of the greedy orders, ``(None, None)`` on deadlock."""
+    graph = costs.graph
+    orders = greedy_orders(graph, costs=costs)
+    try:
+        lam = inorder_period_for_orders(
+            graph, orders, durations=operation_durations(costs)
+        )
+    except InfeasibleScheduleError:
+        return None, None
+    return lam, orders
+
+
 def exact_inorder_period(
     graph: ExecutionGraph,
     *,
@@ -310,32 +426,59 @@ def exact_inorder_period(
             f"order space has {space} configurations (> max_configs="
             f"{max_configs}); use inorder_schedule() for the heuristic"
         )
-    best_lam: Optional[Fraction] = None
-    best_orders: Optional[CommOrders] = None
-    floor = CostModel(graph, platform, mapping).period_lower_bound(CommModel.INORDER)
-    for orders in iter_all_orders(graph):
-        try:
-            lam = inorder_period_for_orders(
-                graph, orders, platform=platform, mapping=mapping
-            )
-        except InfeasibleScheduleError:
-            continue
-        if best_lam is None or lam < best_lam:
-            best_lam, best_orders = lam, orders
-            if lam == floor:
-                break  # cannot do better than the lower bound
-    if best_orders is None:  # every ordering deadlocked (not expected)
-        plan = _serialized_fallback(graph, platform, mapping)
-        return plan.period, plan
-    return best_lam, inorder_schedule_for_orders(
-        graph, best_orders, platform=platform, mapping=mapping
-    )
+    costs = CostModel(graph, platform, mapping)
+    lam, orders = _best_orders(costs)
+    # orders is None only if every ordering deadlocked (not expected)
+    plan = _orders_plan(costs, orders, lam)
+    return plan.period, plan
+
+
+def _scheduled_orders(
+    costs: CostModel,
+) -> Tuple[Fraction, Optional[CommOrders]]:
+    """``(lambda, orders)`` that :func:`inorder_schedule` realises.
+
+    Exhaustive search up to :data:`EXACT_ORDER_LIMIT` configurations, the
+    greedy orders beyond; ``orders`` is ``None`` when they deadlock and
+    ``lambda`` is then the serialized fallback's period.
+    """
+    if order_space_size(costs.graph) <= EXACT_ORDER_LIMIT:
+        lam, orders = _best_orders(costs)
+    else:
+        lam, orders = _greedy_choice(costs)
+    if orders is None:
+        lam = _orders_plan(costs, None).period
+    return lam, orders
+
+
+def inorder_period(
+    graph: ExecutionGraph,
+    *,
+    platform: Optional[Platform] = None,
+    mapping: Optional[Mapping] = None,
+    costs: Optional[CostModel] = None,
+) -> Fraction:
+    """The period :func:`inorder_schedule` achieves, without building it.
+
+    Pass a prebuilt *costs* (for the same graph/platform/mapping) to skip
+    rebuilding the cost model.
+
+    Example::
+
+        >>> from repro.workloads import fig1_example
+        >>> inorder_period(fig1_example().graph)
+        Fraction(23, 3)
+    """
+    if costs is None:
+        costs = CostModel(graph, platform, mapping)
+    lam, _ = _scheduled_orders(costs)
+    return lam
 
 
 def inorder_schedule(
     graph: ExecutionGraph,
     *,
-    exact_threshold: int = 5_000,
+    exact_threshold: int = EXACT_ORDER_LIMIT,
     platform: Optional[Platform] = None,
     mapping: Optional[Mapping] = None,
 ) -> Plan:
@@ -356,26 +499,23 @@ def inorder_schedule(
             graph, max_configs=exact_threshold, platform=platform, mapping=mapping
         )
         return plan
-    try:
-        return inorder_schedule_for_orders(
-            graph,
-            greedy_orders(graph, platform=platform, mapping=mapping),
-            platform=platform,
-            mapping=mapping,
-        )
-    except InfeasibleScheduleError:
-        return _serialized_fallback(graph, platform, mapping)
+    costs = CostModel(graph, platform, mapping)
+    lam, orders = _greedy_choice(costs)
+    return _orders_plan(costs, orders, lam)
 
 
 __all__ = [
     "CommOrders",
+    "EXACT_ORDER_LIMIT",
     "exact_inorder_period",
     "greedy_orders",
     "inorder_event_graph",
+    "inorder_period",
     "inorder_period_for_orders",
     "inorder_schedule",
     "inorder_schedule_for_orders",
     "iter_all_orders",
+    "operation_durations",
     "order_space_size",
     "server_sequence",
 ]

@@ -39,7 +39,7 @@ from ..core import (
     modular_residue,
     validate,
 )
-from .inorder import inorder_schedule
+from .inorder import _orders_plan, _scheduled_orders
 from .latency import oneport_latency_schedule
 
 ZERO = Fraction(0)
@@ -204,6 +204,62 @@ def repair_schedule(
     return dfs({op: base.begin(op) for op in base.operations()})
 
 
+def _repair_below(
+    graph: ExecutionGraph,
+    costs: CostModel,
+    inorder_lam: Fraction,
+    n_candidates: int = 8,
+    max_rounds: int = 500,
+) -> Optional[OperationList]:
+    """A repaired operation list beating the INORDER period, or ``None``.
+
+    Tries the repair scheduler at the lower bound and at periods
+    interpolated towards *inorder_lam*, lowest first.
+    """
+    lb = costs.period_lower_bound(CommModel.OUTORDER)
+    if inorder_lam == lb:
+        return None
+    platform, mapping = costs.platform, costs.mapping
+    base = oneport_latency_schedule(
+        graph, platform=platform, mapping=mapping
+    ).operation_list
+    candidates: List[Fraction] = [lb]
+    span = inorder_lam - lb
+    for k in range(1, n_candidates):
+        candidates.append(lb + span * k / n_candidates)
+    for lam in candidates:
+        repaired = repair_schedule(
+            graph, base, lam, max_rounds=max_rounds, platform=platform, mapping=mapping
+        )
+        if repaired is not None:
+            return repaired
+    return None
+
+
+def outorder_period(
+    graph: ExecutionGraph,
+    *,
+    platform: Optional[Platform] = None,
+    mapping: Optional[Mapping] = None,
+    costs: Optional[CostModel] = None,
+) -> Fraction:
+    """The period :func:`outorder_schedule` achieves.
+
+    When the INORDER orchestration wins, its operation list is not built.
+
+    Example::
+
+        >>> from repro.workloads import fig1_example
+        >>> outorder_period(fig1_example().graph)
+        Fraction(7, 1)
+    """
+    if costs is None:
+        costs = CostModel(graph, platform, mapping)
+    inorder_lam, _ = _scheduled_orders(costs)
+    repaired = _repair_below(graph, costs, inorder_lam)
+    return inorder_lam if repaired is None else repaired.period
+
+
 def outorder_schedule(
     graph: ExecutionGraph,
     *,
@@ -229,37 +285,13 @@ def outorder_schedule(
     """
     if costs is None:
         costs = CostModel(graph, platform, mapping)
-    lb = costs.period_lower_bound(CommModel.OUTORDER)
-    inorder_plan = inorder_schedule(graph, platform=platform, mapping=mapping)
-    fallback = Plan(
-        graph,
-        inorder_plan.operation_list,
-        CommModel.OUTORDER,
-        platform=platform,
-        mapping=inorder_plan.mapping,
+    inorder_lam, inorder_orders = _scheduled_orders(costs)
+    ol = _repair_below(graph, costs, inorder_lam, n_candidates, max_rounds)
+    if ol is None:
+        ol = _orders_plan(costs, inorder_orders, inorder_lam).operation_list
+    return Plan(
+        graph, ol, CommModel.OUTORDER, platform=costs.platform, mapping=costs.mapping
     )
-    if inorder_plan.period == lb:
-        return fallback
-    base = oneport_latency_schedule(
-        graph, platform=platform, mapping=mapping
-    ).operation_list
-    candidates: List[Fraction] = [lb]
-    span = inorder_plan.period - lb
-    for k in range(1, n_candidates):
-        candidates.append(lb + span * k / n_candidates)
-    for lam in candidates:
-        repaired = repair_schedule(
-            graph, base, lam, max_rounds=max_rounds, platform=platform, mapping=mapping
-        )
-        if repaired is not None:
-            return Plan(
-                graph,
-                repaired,
-                CommModel.OUTORDER,
-                platform=platform,
-                mapping=inorder_plan.mapping,
-            )
-    return fallback
 
 
 def is_certified_optimal(plan: Plan) -> bool:
@@ -276,6 +308,7 @@ def is_certified_optimal(plan: Plan) -> bool:
 
 __all__ = [
     "is_certified_optimal",
+    "outorder_period",
     "outorder_period_bound",
     "outorder_schedule",
     "repair_schedule",

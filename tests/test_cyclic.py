@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import CostModel, ExecutionGraph, make_application
 from repro.cyclic import (
     EventGraph,
     InfeasibleScheduleError,
@@ -13,6 +14,11 @@ from repro.cyclic import (
     earliest_times,
     is_feasible,
     minimum_period,
+)
+from repro.scheduling.inorder import (
+    _best_orders,
+    inorder_period_for_orders,
+    iter_all_orders,
 )
 
 F = Fraction
@@ -125,6 +131,15 @@ class TestEarliestTimes:
             assert times[v] >= times[u] + e.weight - lam * e.height
 
 
+#: Weights on a common grid, on a huge power-of-two grid, and on a grid
+#: coprime to it: reduced costs then need a ~120-bit common denominator.
+WEIGHTS = st.one_of(
+    st.fractions(min_value=0, max_value=10),
+    st.integers(0, 10 * 2**60).map(lambda k: Fraction(k, 2**60)),
+    st.integers(0, 10 * (2**61 - 1)).map(lambda k: Fraction(k, 2**61 - 1)),
+)
+
+
 @st.composite
 def random_event_graph(draw):
     n = draw(st.integers(2, 6))
@@ -132,7 +147,6 @@ def random_event_graph(draw):
     eg = EventGraph()
     for node in range(n):
         eg.add_event(node)
-    height_one_somewhere = False
     for _ in range(n_edges):
         u = draw(st.integers(0, n - 1))
         v = draw(st.integers(0, n - 1))
@@ -140,9 +154,7 @@ def random_event_graph(draw):
             h = 1  # self loops must advance data sets
         else:
             h = draw(st.integers(0, 2))
-        w = draw(st.fractions(min_value=0, max_value=10))
-        eg.add_constraint(u, v, w, h)
-        height_one_somewhere = height_one_somewhere or h > 0
+        eg.add_constraint(u, v, draw(WEIGHTS), h)
     return eg
 
 
@@ -175,3 +187,106 @@ class TestAgainstBruteForce:
         for e in eg.edges:
             u, v = eg.label(e.src), eg.label(e.dst)
             assert times[v] >= times[u] + e.weight - lam * e.height
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_event_graph(), st.data())
+    def test_floor_at_a_cycle_ratio_is_exact(self, eg, data):
+        """Raising from the ratio of a real cycle reaches the brute-force MCR.
+
+        A cycle 0 -> 1 -> ... -> 0 of height 1 per edge is planted, so its
+        ratio is known without enumerating cycles.
+        """
+        k = data.draw(st.integers(1, eg.n_events))
+        weights = [data.draw(WEIGHTS) for _ in range(k)]
+        for i, w in enumerate(weights):
+            eg.add_constraint(i, (i + 1) % k, w, 1)
+        floor = sum(weights, Fraction(0)) / k
+        try:
+            expected = brute_force_mcr(eg)
+        except InfeasibleScheduleError:
+            return
+        assert floor <= expected
+        assert minimum_period(eg, floor) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_event_graph(), WEIGHTS)
+    def test_cutoff_is_exact_below_and_bounded_above(self, eg, cutoff):
+        try:
+            expected = brute_force_mcr(eg)
+        except InfeasibleScheduleError:
+            return
+        exact = max(expected or 0, 0)
+        got = minimum_period(eg, cutoff=cutoff)
+        if exact < cutoff:
+            assert got == exact
+        else:
+            assert cutoff <= got <= exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_event_graph())
+    def test_earliest_times_are_least_at_the_mcr(self, eg):
+        """At the brute-force MCR the earliest times exist, satisfy every
+        constraint and are tight (each event waits for some constraint or
+        starts at 0); a hair below it no schedule exists."""
+        try:
+            expected = brute_force_mcr(eg)
+        except InfeasibleScheduleError:
+            return
+        if expected is None or expected <= 0:
+            return
+        times = earliest_times(eg, expected)
+        tight = {label: times[label] == 0 for label in eg.labels}
+        for e in eg.edges:
+            u, v = eg.label(e.src), eg.label(e.dst)
+            slack = times[v] - (times[u] + e.weight - expected * e.height)
+            assert slack >= 0
+            tight[v] = tight[v] or slack == 0
+        assert all(tight.values())
+        with pytest.raises(InfeasibleScheduleError):
+            earliest_times(eg, expected - Fraction(1, 2**200))
+
+
+@st.composite
+def small_dag(draw):
+    n = draw(st.integers(2, 5))
+    app = make_application([
+        (f"C{i}", draw(st.integers(0, 5)),
+         draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)])))
+        for i in range(n)
+    ])
+    edges = [
+        (f"C{i}", f"C{j}")
+        for j in range(1, n) for i in range(j) if draw(st.booleans())
+    ]
+    return ExecutionGraph(app, edges)
+
+
+class TestIncumbentCutoff:
+    @settings(max_examples=40, deadline=None)
+    @given(small_dag())
+    def test_enumeration_picks_the_first_best_orders(self, graph):
+        """The cut-off enumeration returns the period and orders that a full
+        evaluation of every configuration picks (first strict minimum)."""
+        best = None
+        for orders in iter_all_orders(graph):
+            try:
+                lam = inorder_period_for_orders(graph, orders)
+            except InfeasibleScheduleError:
+                continue
+            if best is None or lam < best[0]:
+                best = (lam, orders)
+        assert _best_orders(CostModel(graph)) == (best or (None, None))
+
+    def test_a_tie_above_the_floor_keeps_the_first_orders(self):
+        """Configurations 0 and 10 of this DAG share the optimum 27/4, above
+        the server-cycle floor, so the search must run past the tie."""
+        app = make_application([
+            ("C0", 2, 1), ("C1", 3, 1), ("C2", 3, 1), ("C3", 2, Fraction(1, 2)),
+            ("C4", 1, 1),
+        ])
+        graph = ExecutionGraph(app, [
+            ("C0", "C1"), ("C0", "C2"), ("C0", "C4"), ("C1", "C3"),
+            ("C2", "C3"), ("C3", "C4"),
+        ])
+        first = next(iter_all_orders(graph))
+        assert _best_orders(CostModel(graph)) == (Fraction(27, 4), first)
