@@ -3,6 +3,7 @@
 from .inorder import (
     EXACT_ORDER_LIMIT,
     CommOrders,
+    OperationDurations,
     exact_inorder_period,
     greedy_orders,
     inorder_event_graph,
@@ -41,6 +42,7 @@ from .overlap import overlap_period_bound, schedule_period_overlap
 __all__ = [
     "EXACT_ORDER_LIMIT",
     "CommOrders",
+    "OperationDurations",
     "b3_oneport_period12_feasible",
     "best_latency_schedule",
     "exact_inorder_period",

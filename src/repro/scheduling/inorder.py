@@ -87,7 +87,33 @@ class CommOrders:
 EXACT_ORDER_LIMIT = 50_000
 
 
-def operation_durations(costs: CostModel) -> Dict[Operation, Fraction]:
+class OperationDurations(dict):
+    """Duration of every computation and communication under one cost model.
+
+    ``floor`` is the largest server-cycle sum.  A server's operations close
+    into a height-1 cycle of the INORDER event graph whatever the orders
+    (:func:`server_sequence`), so ``floor`` is the ratio of a real cycle:
+    a lower bound on the period of every order configuration.
+    """
+
+    __slots__ = ("floor",)
+
+    def __init__(self, graph: ExecutionGraph, dur: Dict[Operation, Fraction]):
+        super().__init__(dur)
+        # summed over one common denominator: plain ints instead of Fractions
+        den = 1
+        for d in dur.values():
+            den = math.lcm(den, d.denominator)
+        scaled = {op: d.numerator * (den // d.denominator) for op, d in dur.items()}
+        canonical = CommOrders.canonical(graph)
+        best = max(
+            sum(scaled[op] for op in server_sequence(node, canonical))
+            for node in graph.nodes
+        )
+        self.floor = Fraction(best, den)
+
+
+def operation_durations(costs: CostModel) -> OperationDurations:
     """Duration of every computation and communication under *costs*."""
     graph = costs.graph
     dur: Dict[Operation, Fraction] = {}
@@ -95,7 +121,7 @@ def operation_durations(costs: CostModel) -> Dict[Operation, Fraction]:
         dur[comp_op(node)] = costs.ccomp(node)
     for a, b in costs.comm_edges():
         dur[comm_op(a, b)] = costs.comm_time(a, b)
-    return dur
+    return OperationDurations(graph, dur)
 
 
 def server_sequence(node: str, orders: CommOrders) -> List[Operation]:
@@ -104,30 +130,6 @@ def server_sequence(node: str, orders: CommOrders) -> List[Operation]:
     seq.append(comp_op(node))
     seq.extend(comm_op(node, s) for s in orders.outgoing[node])
     return seq
-
-
-def _server_cycle_floor(
-    graph: ExecutionGraph,
-    orders: CommOrders,
-    dur: Dict[Operation, Fraction],
-) -> Fraction:
-    """The largest server-cycle ratio: a proven period lower bound.
-
-    A server's sequence closes into a height-1 cycle of the event graph
-    whose weight is the sum of its durations — the ratio of a real cycle,
-    hence at most the maximum cycle ratio.  The sum does not depend on
-    the orders, so the bound holds for every configuration.
-    """
-    # summed over one common denominator: plain ints instead of Fractions
-    den = 1
-    for d in dur.values():
-        den = math.lcm(den, d.denominator)
-    scaled = {op: d.numerator * (den // d.denominator) for op, d in dur.items()}
-    best = max(
-        sum(scaled[op] for op in server_sequence(node, orders))
-        for node in graph.nodes
-    )
-    return Fraction(best, den)
 
 
 def _event_graph(
@@ -164,18 +166,16 @@ def inorder_period_for_orders(
     *,
     platform: Optional[Platform] = None,
     mapping: Optional[Mapping] = None,
-    durations: Optional[Dict[Operation, Fraction]] = None,
-    floor: Optional[Fraction] = None,
+    durations: Optional[OperationDurations] = None,
     cutoff: Optional[Fraction] = None,
 ) -> Fraction:
     """Optimal INORDER period for fixed communication orders (exact, MCR).
 
-    *durations* reuses the per-operation times of a prebuilt cost model
-    for the same configuration.  Cycle raising starts at *floor*, which
-    must be the ratio of a cycle of the event graph; it defaults to the
-    largest server-cycle ratio, the same for every order configuration.
-    With a *cutoff* the result is exact only below it: a value
-    ``>= cutoff`` just says these orders cannot get under *cutoff*.
+    *durations* reuses the :func:`operation_durations` of a prebuilt cost
+    model for the same configuration.  Cycle raising starts at their
+    server-cycle floor.  With a *cutoff* the result is exact only below
+    it: a value ``>= cutoff`` just says these orders cannot get under
+    *cutoff*.
 
     Example (on the Figure-1 graph the critical-path greedy orders reach
     the overall optimum 23/3; the canonical sorted orders only reach 9)::
@@ -189,10 +189,8 @@ def inorder_period_for_orders(
     """
     if durations is None:
         durations = operation_durations(CostModel(graph, platform, mapping))
-    if floor is None:
-        floor = _server_cycle_floor(graph, orders, durations)
     return minimum_period(
-        _event_graph(graph, orders, durations), floor, cutoff=cutoff
+        _event_graph(graph, orders, durations), durations.floor, cutoff=cutoff
     )
 
 
@@ -212,7 +210,7 @@ def _orders_plan(
     dur = operation_durations(costs)
     eg = _event_graph(graph, orders, dur)
     if lam is None:
-        lam = minimum_period(eg, _server_cycle_floor(graph, orders, dur))
+        lam = minimum_period(eg, dur.floor)
     begins = earliest_times(eg, lam)
     times = {op: (b, b + dur[op]) for op, b in begins.items()}
     ol = OperationList(times, lam=lam)
@@ -365,19 +363,18 @@ def _best_orders(
     """
     graph = costs.graph
     dur = operation_durations(costs)
-    floor = _server_cycle_floor(graph, CommOrders.canonical(graph), dur)
     best_lam: Optional[Fraction] = None
     best_orders: Optional[CommOrders] = None
     for orders in iter_all_orders(graph):
         try:
             lam = inorder_period_for_orders(
-                graph, orders, durations=dur, floor=floor, cutoff=best_lam
+                graph, orders, durations=dur, cutoff=best_lam
             )
         except InfeasibleScheduleError:
             continue
         if best_lam is None or lam < best_lam:
             best_lam, best_orders = lam, orders
-            if lam == floor:
+            if lam == dur.floor:
                 break  # no configuration can do better
     return best_lam, best_orders
 
@@ -433,6 +430,11 @@ def exact_inorder_period(
     return plan.period, plan
 
 
+def _searches_all_orders(graph: ExecutionGraph) -> bool:
+    """Whether the schedulers enumerate every order configuration."""
+    return order_space_size(graph) <= EXACT_ORDER_LIMIT
+
+
 def _scheduled_orders(
     costs: CostModel,
 ) -> Tuple[Fraction, Optional[CommOrders]]:
@@ -442,7 +444,7 @@ def _scheduled_orders(
     greedy orders beyond; ``orders`` is ``None`` when they deadlock and
     ``lambda`` is then the serialized fallback's period.
     """
-    if order_space_size(costs.graph) <= EXACT_ORDER_LIMIT:
+    if _searches_all_orders(costs.graph):
         lam, orders = _best_orders(costs)
     else:
         lam, orders = _greedy_choice(costs)
@@ -478,15 +480,16 @@ def inorder_period(
 def inorder_schedule(
     graph: ExecutionGraph,
     *,
-    exact_threshold: int = EXACT_ORDER_LIMIT,
     platform: Optional[Platform] = None,
     mapping: Optional[Mapping] = None,
 ) -> Plan:
     """Best-effort INORDER orchestration.
 
-    Uses exhaustive order search when the order space is small, the greedy
-    critical-path orders otherwise; falls back to a fully serialized
-    schedule if the heuristic orders deadlock.
+    Uses exhaustive order search when the order space has at most
+    :data:`EXACT_ORDER_LIMIT` configurations, the greedy critical-path
+    orders otherwise; falls back to a fully serialized schedule if the
+    heuristic orders deadlock.  Its period is :func:`inorder_period`'s
+    value: both go through the same order selection.
 
     Example (what ``solve(graph, model="inorder")`` runs)::
 
@@ -494,13 +497,15 @@ def inorder_schedule(
         >>> inorder_schedule(fig1_example().graph).period
         Fraction(23, 3)
     """
-    if order_space_size(graph) <= exact_threshold:
+    if _searches_all_orders(graph):
+        # exact_inorder_period plans _best_orders' choice: the orders
+        # _scheduled_orders takes the value from
         _, plan = exact_inorder_period(
-            graph, max_configs=exact_threshold, platform=platform, mapping=mapping
+            graph, max_configs=EXACT_ORDER_LIMIT, platform=platform, mapping=mapping
         )
         return plan
     costs = CostModel(graph, platform, mapping)
-    lam, orders = _greedy_choice(costs)
+    lam, orders = _scheduled_orders(costs)
     return _orders_plan(costs, orders, lam)
 
 
@@ -515,6 +520,7 @@ __all__ = [
     "inorder_schedule",
     "inorder_schedule_for_orders",
     "iter_all_orders",
+    "OperationDurations",
     "operation_durations",
     "order_space_size",
     "server_sequence",

@@ -1,5 +1,6 @@
 """Unit and property tests for the cyclic scheduling substrate (MCR)."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from repro.cyclic import (
 )
 from repro.scheduling.inorder import (
     _best_orders,
+    inorder_event_graph,
     inorder_period_for_orders,
     iter_all_orders,
+    operation_durations,
 )
 
 F = Fraction
@@ -276,6 +279,19 @@ class TestIncumbentCutoff:
             if best is None or lam < best[0]:
                 best = (lam, orders)
         assert _best_orders(CostModel(graph)) == (best or (None, None))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_dag())
+    def test_server_cycle_floor_is_a_lower_bound(self, graph):
+        """The floor the durations carry never exceeds the brute-force MCR
+        of an order configuration's event graph."""
+        floor = operation_durations(CostModel(graph)).floor
+        for orders in itertools.islice(iter_all_orders(graph), 8):
+            try:
+                mcr = brute_force_mcr(inorder_event_graph(graph, orders))
+            except InfeasibleScheduleError:
+                continue
+            assert floor <= mcr
 
     def test_a_tie_above_the_floor_keeps_the_first_orders(self):
         """Configurations 0 and 10 of this DAG share the optimum 27/4, above
