@@ -10,7 +10,14 @@ from .constants import INPUT, OUTPUT
 from .costs import CostModel, comm_edges
 from .graph import CycleError, Edge, ExecutionGraph, PrecedenceError
 from .models import ALL_MODELS, ONE_PORT_MODELS, CommModel
-from .numeric import CERT_EPS, Exactness, FloatCosts, GraphArrays, certified_threshold
+from .numeric import (
+    CERT_EPS,
+    Exactness,
+    FloatCosts,
+    GraphArrays,
+    Incumbent,
+    certified_threshold,
+)
 from .platform import (
     Link,
     Mapping,
@@ -66,6 +73,7 @@ __all__ = [
     "GraphArrays",
     "MappingBatch",
     "iter_forest_rows",
+    "Incumbent",
     "certified_threshold",
     "INPUT",
     "InvalidScheduleError",

@@ -18,7 +18,9 @@ to two orders of magnitude slower than native floats.  This module is the
   included);
 * :class:`Exactness` names the certification contract a caller picks, and
   :data:`CERT_EPS` is the conservative relative slack every *certified*
-  float comparison must leave.
+  float comparison must leave;
+* :func:`certified_threshold` and the running best :class:`Incumbent`
+  built on it are the one float gate every certified search uses.
 
 The **certification protocol**: searches rank, prune and accept/reject
 candidates on the float tier, but a certified search may discard a
@@ -46,6 +48,7 @@ See ``docs/performance.md`` for the full argument and measurements.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Dict, List, Optional, Union
 
 from .constants import INPUT, OUTPUT
@@ -423,15 +426,61 @@ class FloatCosts:
         return cin + ccomp + cout
 
 
-def certified_threshold(incumbent: float, eps: float = CERT_EPS) -> float:
+def certified_threshold(incumbent) -> float:
     """The float cut above which a certified search may prune outright.
 
-    A candidate whose float lower bound exceeds this can not have an exact
+    *incumbent* is the running best, exact (a ``Fraction``) or float.  A
+    candidate whose float lower bound exceeds this can not have an exact
     value below the exact incumbent (the float error is orders of
-    magnitude below *eps*); anything at or under it must be re-scored
-    exactly before being discarded.
+    magnitude below :data:`CERT_EPS`); anything at or under it must be
+    re-scored exactly before being discarded.  An incumbent beyond float
+    range gives ``inf``: no float value can reject, everything is scored
+    exactly.
     """
-    return incumbent * (1.0 + eps)
+    try:
+        return float(incumbent) * (1.0 + CERT_EPS)
+    except OverflowError:
+        return math.inf
+
+
+class Incumbent:
+    """The running best of a certified scan and its float cut.
+
+    :meth:`offer` keeps the first strict minimum (ties keep the earlier
+    item) and moves the cut to :func:`certified_threshold` of the new
+    best; :meth:`rejects` is the one float gate — a candidate is skipped
+    only when its float lower bound lies above the cut.  Before the first
+    offer nothing is rejected.
+
+        >>> best = Incumbent()
+        >>> best.offer(3, "a"), best.offer(3, "b")
+        (True, False)
+        >>> best.item, best.rejects(3.0), best.rejects(3.1), best.rejects(None)
+        ('a', False, True, False)
+    """
+
+    __slots__ = ("value", "item", "cut")
+
+    def __init__(self) -> None:
+        self.value = None
+        self.item = None
+        self.cut = math.inf
+
+    def offer(self, value, item) -> bool:
+        """Keep *item* if *value* strictly beats the best; report whether."""
+        if self.value is not None and not value < self.value:
+            return False
+        self.value, self.item = value, item
+        self.cut = certified_threshold(value)
+        return True
+
+    def rejects(self, fast: Optional[float]) -> bool:
+        """Is the float bound *fast* provably no better than the best?
+
+        ``None`` (no float value for this candidate) never rejects; a
+        numpy array of bounds is answered elementwise.
+        """
+        return fast is not None and fast > self.cut
 
 
 __all__ = [
@@ -439,5 +488,6 @@ __all__ = [
     "Exactness",
     "FloatCosts",
     "GraphArrays",
+    "Incumbent",
     "certified_threshold",
 ]

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -160,19 +161,22 @@ class _Scaling:
         return self._speed.get(name, self._default_speed)
 
 
-def _float_cuts(value: Fraction, eps: float) -> Tuple[float, float]:
-    """``(cut, low_cut)`` float thresholds around an exact incumbent.
+def _cuts(value: Fraction, use_float: bool) -> Tuple:
+    """``(cut, low_cut)`` pruning thresholds around the incumbent *value*.
 
-    An incumbent too large for a float degenerates to ``(inf, -inf)`` —
-    every bound then lands "in the band", so a certified search arbitrates
-    everything exactly (slow but still exact) and a fast search returns
-    its incumbent.
+    The exact tier prunes at the incumbent itself.  The float tiers cut at
+    :func:`~repro.core.certified_threshold` and bottom the near-tie band
+    at its mirror image.  An incumbent too large for a float degenerates
+    to ``(inf, -inf)`` — every bound then lands "in the band", so a
+    certified search arbitrates everything exactly (slow but still exact)
+    and a fast search returns its incumbent.
     """
-    try:
-        f = float(value)
-    except OverflowError:
-        return float("inf"), float("-inf")
-    return certified_threshold(f, eps), f * (1.0 - eps)
+    if not use_float:
+        return value, value
+    cut = certified_threshold(value)
+    if cut == math.inf:
+        return cut, -math.inf
+    return cut, float(value) * (1.0 - CERT_EPS)
 
 
 def _min_products(app: Application) -> Dict[str, Fraction]:
@@ -293,7 +297,6 @@ def bb_minperiod(
     deadline: Optional[float] = None,
     leaf_batch=None,
     exactness: Exactness = Exactness.EXACT,
-    eps: float = CERT_EPS,
 ) -> Tuple[Fraction, ExecutionGraph, BBStats]:
     """Exact MinPeriod over forests by best-first branch and bound.
 
@@ -323,9 +326,10 @@ def bb_minperiod(
     *exactness* picks the numeric tier for the bound arithmetic (the
     module docstring spells out the certification contract): under
     ``CERTIFIED`` the bounds run in floats, states are pruned only beyond
-    the *eps* relative guard, and the returned optimum is bit-for-bit the
-    ``EXACT`` tier's as long as *objective* evaluates exactly; ``FAST``
-    expects a float-tier objective and returns an uncertified incumbent.
+    the :data:`~repro.core.CERT_EPS` relative guard, and the returned
+    optimum is bit-for-bit the ``EXACT`` tier's as long as *objective*
+    evaluates exactly; ``FAST`` expects a float-tier objective and
+    returns an uncertified incumbent.
 
     Example::
 
@@ -398,10 +402,7 @@ def bb_minperiod(
     # ``low_cut``, with no exact arithmetic anywhere.
     certified = exactness is Exactness.CERTIFIED
     use_leaf_batch = certified and leaf_batch is not None
-    if use_float:
-        cut, low_cut = _float_cuts(best_value, eps)
-    else:
-        cut = low_cut = best_value
+    cut, low_cut = _cuts(best_value, use_float)
 
     # Per-node partial term: cin is the parent's out-size (== the node's
     # ancestor product) or the unit input message for roots; cout counts
@@ -597,10 +598,7 @@ def bb_minperiod(
                     if value < best_value:
                         best_value, best_graph = value, graph
                         gen += 1
-                        if use_float:
-                            cut, low_cut = _float_cuts(best_value, eps)
-                        else:
-                            cut = low_cut = best_value
+                        cut, low_cut = _cuts(best_value, use_float)
                         stats.incumbent_updates += 1
                     continue
                 if child_key in seen:
@@ -631,7 +629,7 @@ def bb_minperiod(
                 if value < best_value:
                     best_value, best_graph = value, graph
                     gen += 1
-                    cut, low_cut = _float_cuts(best_value, eps)
+                    cut, low_cut = _cuts(best_value, use_float)
                     stats.incumbent_updates += 1
 
     return best_value, best_graph, stats
@@ -653,7 +651,6 @@ def bb_minlatency(
     deadline: Optional[float] = None,
     max_services: int = MAX_BB_LATENCY_SERVICES,
     exactness: Exactness = Exactness.EXACT,
-    eps: float = CERT_EPS,
 ) -> Tuple[Fraction, ExecutionGraph, BBStats]:
     """Exact MinLatency over DAGs by best-first branch and bound.
 
@@ -663,7 +660,7 @@ def bb_minlatency(
     and the static floors of the unplaced services.  Optimal latency plans
     need not be forests (Proposition 13), hence the DAG space.
 
-    *exactness*/*eps* pick the numeric tier of the bound arithmetic with
+    *exactness* picks the numeric tier of the bound arithmetic with
     the same certification contract as :func:`bb_minperiod`; *deadline*
     (wall-clock seconds) stops the search like *node_limit*, leaving the
     incumbent as an anytime upper bound with ``stats.limit_hit`` set.
@@ -720,10 +717,7 @@ def bb_minlatency(
 
     # Near-tie band thresholds — see bb_minperiod for the contract.
     certified = exactness is Exactness.CERTIFIED
-    if use_float:
-        cut, low_cut = _float_cuts(best_value, eps)
-    else:
-        cut = low_cut = best_value
+    cut, low_cut = _cuts(best_value, use_float)
     if certified:
         sigma_x = [app.selectivity(name) for name in names]
         cost_x = [app.cost(name) for name in names]
@@ -922,10 +916,7 @@ def bb_minlatency(
                     if value < best_value:
                         best_value, best_graph = value, graph
                         gen += 1
-                        if use_float:
-                            cut, low_cut = _float_cuts(best_value, eps)
-                        else:
-                            cut = low_cut = best_value
+                        cut, low_cut = _cuts(best_value, use_float)
                         stats.incumbent_updates += 1
                     continue
                 heapq.heappush(

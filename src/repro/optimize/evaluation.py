@@ -41,6 +41,7 @@ from ..core import (
     Exactness,
     ExecutionGraph,
     FloatCosts,
+    ForestBatch,
     Mapping,
     Platform,
 )
@@ -88,6 +89,43 @@ def _normalise(
     ):
         return None, None
     return platform, mapping
+
+
+def period_is_bound(
+    model: CommModel, effort: Effort, mapping: Optional[Mapping]
+) -> bool:
+    """Is the Section-2.1 bound ``max Cexec`` the period objective itself?
+
+    True for OVERLAP at every effort (Theorem 1, any platform), for the
+    ``BOUND`` effort by definition, and for shared-server mappings (the
+    one-port orchestration schedulers assume one service per server; the
+    aggregated steady-state bound is the concurrent regime's analytic
+    readout).  The one
+    coverage rule of the period objective's float kernels: wherever it
+    holds, a float lower bound may gate the exact objective.  *mapping*
+    is the normalised one (``None`` on the unit platform).
+    """
+    return (
+        model is CommModel.OVERLAP
+        or effort is Effort.BOUND
+        or (mapping is not None and not mapping.is_injective)
+    )
+
+
+def latency_is_bound(
+    effort: Effort, mapping: Optional[Mapping], graph: ExecutionGraph
+) -> bool:
+    """Is the critical-path bound the latency objective itself?
+
+    True for shared-server mappings (Algorithm 1 and the one-port
+    schedulers assume one service per server; the critical path with free
+    intra-server edges is the concurrent regime's readout) and, at the
+    ``BOUND`` effort, for every graph but an injective forest (whose
+    objective is Algorithm 1).
+    The latency twin of :func:`period_is_bound`; the model plays no role.
+    """
+    shared = mapping is not None and not mapping.is_injective
+    return shared or (effort is Effort.BOUND and not graph.is_forest)
 
 
 def fast_period_value(
@@ -179,14 +217,7 @@ def period_objective(
         return value
     if costs is None:
         costs = CostModel(graph, platform, mapping)
-    if model is CommModel.OVERLAP:
-        return costs.period_lower_bound(model)
-    if effort is Effort.BOUND:
-        return costs.period_lower_bound(model)
-    if mapping is not None and not mapping.is_injective:
-        # Shared servers: the one-port orchestration schedulers assume one
-        # service per server; the aggregated steady-state bound is the
-        # analytic readout of the concurrent regime.
+    if period_is_bound(model, effort, mapping):
         return costs.period_lower_bound(model)
     if model is CommModel.INORDER:
         if effort is Effort.EXACT:
@@ -244,10 +275,7 @@ def latency_objective(
             graph, "latency", model, effort, platform, exactness=exactness
         )
         return value
-    if mapping is not None and not mapping.is_injective:
-        # Shared servers: Algorithm 1 and the one-port schedulers assume
-        # one service per server; the critical path with free intra-server
-        # edges is the concurrent regime's analytic readout.
+    if latency_is_bound(effort, mapping, graph):
         if costs is None:
             costs = CostModel(graph, platform, mapping)
         return costs.latency_lower_bound()
@@ -255,8 +283,6 @@ def latency_objective(
         return tree_latency(graph, platform=platform, mapping=mapping)
     if costs is None:
         costs = CostModel(graph, platform, mapping)
-    if effort is Effort.BOUND:
-        return costs.latency_lower_bound()
     if effort is Effort.EXACT and len(graph.nodes) <= 7:
         value = exact_oneport_latency(graph, platform=platform, mapping=mapping)
     else:
@@ -341,8 +367,7 @@ def make_fast_period_objective(
     plat, mapp = _normalise(platform, mapping)
     if plat is not None and mapp is None:
         return None
-    shared = mapp is not None and not mapp.is_injective
-    if not (model is CommModel.OVERLAP or effort is Effort.BOUND or shared):
+    if not period_is_bound(model, effort, mapp):
         return None
 
     def evaluate(graph: ExecutionGraph) -> Optional[float]:
@@ -372,12 +397,7 @@ def make_forest_period_batch(
     plat, mapp = _normalise(platform, mapping)
     if plat is not None and mapp is None:
         return None
-    shared = mapp is not None and not mapp.is_injective
-    if not (model is CommModel.OVERLAP or effort is Effort.BOUND or shared):
-        return None
-    try:
-        from ..core.batched import ForestBatch
-    except ImportError:  # pragma: no cover - numpy-free environments
+    if not period_is_bound(model, effort, mapp):
         return None
     try:
         return ForestBatch(app, model, plat, mapp)
@@ -407,7 +427,7 @@ def make_fast_latency_objective(
         return None
 
     def evaluate(graph: ExecutionGraph) -> Optional[float]:
-        if not shared and graph.is_forest:
+        if not latency_is_bound(effort, mapp, graph):
             return None  # Algorithm 1 territory: no float shortcut
         try:
             return FloatCosts(graph, plat, mapp).latency_lower_bound()
@@ -421,11 +441,13 @@ __all__ = [
     "Objective",
     "fast_latency_value",
     "fast_period_value",
+    "latency_is_bound",
     "latency_objective",
     "make_fast_latency_objective",
     "make_fast_period_objective",
     "make_forest_period_batch",
     "make_latency_objective",
     "make_period_objective",
+    "period_is_bound",
     "period_objective",
 ]

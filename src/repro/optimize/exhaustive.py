@@ -18,7 +18,15 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core import Application, CommModel, ExecutionGraph, certified_threshold
+import numpy as np
+
+from ..core import (
+    Application,
+    CommModel,
+    ExecutionGraph,
+    Incumbent,
+    iter_forest_rows,
+)
 from .evaluation import Effort, latency_objective, period_objective
 
 #: :func:`iter_dags` refuses applications larger than this (the DAG space
@@ -128,26 +136,16 @@ def scan_best(
     ``None`` from *fast_objective* (no kernel for that graph) falls back
     to exact scoring for that candidate.
     """
-    best_val: Optional[Fraction] = None
-    best_graph: Optional[ExecutionGraph] = None
-    cut: Optional[float] = None
+    best = Incumbent()
     count = 0
     for graph in graphs:
         count += 1
-        if fast_objective is not None and cut is not None:
-            fast = fast_objective(graph)
-            if fast is not None and fast > cut:
-                continue  # provably no better than the incumbent
-        val = objective(graph)
-        if best_val is None or val < best_val:
-            best_val, best_graph = val, graph
-            try:
-                cut = certified_threshold(float(best_val))
-            except OverflowError:
-                cut = None  # beyond float range: no gate, exact scoring only
-    if best_graph is None or best_val is None:
+        if fast_objective is not None and best.rejects(fast_objective(graph)):
+            continue  # provably no better than the incumbent
+        best.offer(objective(graph), graph)
+    if best.item is None:
         raise ValueError("no candidate execution graph")
-    return best_val, best_graph, count
+    return best.value, best.item, count
 
 
 def scan_best_forests_batched(
@@ -171,42 +169,26 @@ def scan_best_forests_batched(
     including tie-breaks — is identical to
     ``scan_best(iter_forests(app), objective, fast_objective=...)``.
     """
-    import numpy as np
-
     if app.precedence:
         raise ValueError("forest enumeration assumes no precedence constraints")
-    from ..core.batched import iter_forest_rows
-
     n = len(app.names)
-    best_val: Optional[Fraction] = None
-    best_graph: Optional[ExecutionGraph] = None
-    cut: Optional[float] = None
+    best = Incumbent()
     count = 0
     for rows, _base in iter_forest_rows(n, chunk):
         valid, fast = batch.periods(rows)
         count += int(valid.sum())
-        if cut is None:
-            candidates = np.nonzero(valid)[0]
-        else:
-            # Chunk-level pre-filter with the cut as of the chunk start: it
-            # only ever *keeps* rows the scalar scan would examine (the cut
-            # never increases); the loop below re-checks the running cut so
-            # the survivor set matches the scalar scan exactly.
-            candidates = np.nonzero(valid & ~(fast > cut))[0]
-        for r in candidates:
-            if cut is not None and fast[r] > cut:
+        # Chunk-level pre-filter with the cut as of the chunk start: it
+        # only ever *keeps* rows the scalar scan would examine (the cut
+        # never increases); the loop below re-checks the running cut so
+        # the survivor set matches the scalar scan exactly.
+        for r in np.nonzero(valid & ~best.rejects(fast))[0]:
+            if best.rejects(fast[r]):
                 continue  # provably no better than the incumbent
             graph = batch.decode(rows[r])
-            val = objective(graph)
-            if best_val is None or val < best_val:
-                best_val, best_graph = val, graph
-                try:
-                    cut = certified_threshold(float(best_val))
-                except OverflowError:
-                    cut = None  # beyond float range: exact scoring only
-    if best_graph is None or best_val is None:
+            best.offer(objective(graph), graph)
+    if best.item is None:
         raise ValueError("no candidate execution graph")
-    return best_val, best_graph, count
+    return best.value, best.item, count
 
 
 def exhaustive_minperiod(
@@ -215,13 +197,11 @@ def exhaustive_minperiod(
     *,
     forests_only: bool = True,
     effort: Effort = Effort.EXACT,
-    certified: bool = False,
 ) -> Tuple[Fraction, ExecutionGraph]:
     """Exact MinPeriod by enumeration (forests by default — Prop 4).
 
-    ``certified=True`` pre-screens candidates on the float kernel (where
-    one covers the configuration) before exact scoring — same result,
-    fewer Fraction allocations; see :func:`scan_best`.
+    A plain exact reference scan; the planner's ``"exhaustive"`` solver
+    is the float-gated (certified) form of the same search.
 
     Example (a filter in front of an expensive service halves its load;
     the facade equivalent is ``solve(app, method="exhaustive")``)::
@@ -232,13 +212,9 @@ def exhaustive_minperiod(
         >>> value, sorted(graph.edges)
         (Fraction(4, 1), [('A', 'B')])
     """
-    from .evaluation import make_fast_period_objective
-
     graphs = iter_forests(app) if forests_only else iter_dags(app)
-    fast = make_fast_period_objective(model, effort) if certified else None
     value, graph, _ = scan_best(
-        graphs, lambda g: period_objective(g, model, effort),
-        fast_objective=fast,
+        graphs, lambda g: period_objective(g, model, effort)
     )
     return value, graph
 
@@ -249,14 +225,12 @@ def exhaustive_minlatency(
     *,
     forests_only: bool = False,
     effort: Effort = Effort.EXACT,
-    certified: bool = False,
 ) -> Tuple[Fraction, ExecutionGraph]:
     """Exact MinLatency by enumeration.
 
     Optimal latency plans are *not* always forests (the Prop-13 gadget is a
     fork-join), so the default enumerates DAGs; ``forests_only=True`` gives
-    the Proposition-17 restricted problem.  ``certified=True`` as in
-    :func:`exhaustive_minperiod`.
+    the Proposition-17 restricted problem.
 
     Example (serial beats parallel here: filtering pays for the extra hop)::
 
@@ -266,13 +240,9 @@ def exhaustive_minlatency(
         >>> value, sorted(graph.edges)
         (Fraction(9, 2), [('A', 'B')])
     """
-    from .evaluation import make_fast_latency_objective
-
     graphs = iter_forests(app) if forests_only else iter_dags(app)
-    fast = make_fast_latency_objective(model, effort) if certified else None
     value, graph, _ = scan_best(
-        graphs, lambda g: latency_objective(g, model, effort),
-        fast_objective=fast,
+        graphs, lambda g: latency_objective(g, model, effort)
     )
     return value, graph
 

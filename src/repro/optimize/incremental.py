@@ -33,7 +33,7 @@ identity hook (exact ``Fraction``s); the ``Float*`` twins
 (:class:`FloatForestPeriod`, :class:`FloatMappingCosts`,
 :class:`FloatSharedCosts`) convert to native floats, turning every delta
 into a handful of float multiplies — one to two orders of magnitude
-faster.  The ``Certified*`` wrappers pair an exact evaluator with its
+faster.  The :class:`Certified` wrapper pairs an exact evaluator with its
 float twin: candidates are scored on the float tier and only the ones
 within the :data:`~repro.core.CERT_EPS` band of the current value are
 re-scored exactly, so the accept/reject decisions — and hence the whole
@@ -58,7 +58,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core import (
-    CERT_EPS,
     INPUT,
     OUTPUT,
     CommModel,
@@ -340,9 +339,8 @@ class FloatForestPeriod(IncrementalForestPeriod):
 
     Same moves, same API, native-float arithmetic throughout — values
     agree with the exact evaluator to ~1e-13 relative (property-tested at
-    1e-9).  Pair it with the exact class through
-    :class:`CertifiedForestPeriod` when the search result must stay
-    bit-for-bit exact.
+    1e-9).  Pair it with the exact class through :class:`Certified` when
+    the search result must stay bit-for-bit exact.
 
         >>> from repro import CommModel, ExecutionGraph, make_application
         >>> app = make_application([("A", 1, "1/2"), ("B", 8, 1)])
@@ -355,73 +353,82 @@ class FloatForestPeriod(IncrementalForestPeriod):
     _num = staticmethod(float)
 
 
-class CertifiedForestPeriod:
-    """Exact + float forest evaluators behind one certified interface.
+class Certified:
+    """An exact evaluator and its float twin behind one certified interface.
 
-    Candidate reparents are priced on the float tier; only candidates
-    whose float value lands inside the :data:`~repro.core.CERT_EPS` band
-    of the current value are re-priced exactly.  Because the float error
-    is orders of magnitude below the band, every move the exact evaluator
-    would accept gets an exact score here too — the search trajectory is
-    bit-for-bit the exact one, at float cost for the (vast) majority of
-    rejected candidates.  Drop-in wherever an
-    :class:`IncrementalForestPeriod` is accepted.
+    The one float-gate/exact-confirm wrapper for every evaluator pair of
+    this module — forest reparents, injective, shared and contended
+    placements.  A candidate move is priced on the *fast* twin first; a
+    float price above :func:`~repro.core.certified_threshold` of the
+    current exact value is provably worse and returned as is (as is
+    ``None``, an invalid reparent on both tiers), anything else is
+    re-priced on *exact*.  Because the float error is orders of
+    magnitude below the :data:`~repro.core.CERT_EPS` band, every move the
+    exact evaluator would accept gets an exact score here too — the search
+    trajectory is bit-for-bit the exact one, at float cost for the (vast)
+    majority of rejected candidates.  Committed moves go to both tiers;
+    everything else (``value``, ``graph``, ``mapping``, ``assignment``,
+    ``parents``, ...) is read from *exact*.
     """
 
-    __slots__ = ("exact", "fast", "eps", "_value", "_cut")
+    __slots__ = ("exact", "fast", "_cut")
 
-    def __init__(
-        self,
-        graph: ExecutionGraph,
-        *,
-        model: CommModel = CommModel.OVERLAP,
-        platform: Optional[Platform] = None,
-        mapping: Optional[Mapping] = None,
-        eps: float = CERT_EPS,
-    ) -> None:
-        self.exact = IncrementalForestPeriod(
-            graph, model=model, platform=platform, mapping=mapping
-        )
-        self.fast = FloatForestPeriod(
-            graph, model=model, platform=platform, mapping=mapping
-        )
-        self.eps = eps
-        self._refresh()
+    def __init__(self, exact, fast) -> None:
+        self.exact = exact
+        self.fast = fast
+        self._cut = certified_threshold(exact.value())
 
-    def _refresh(self) -> None:
-        self._value = self.exact.value()
-        self._cut = certified_threshold(float(self._value), self.eps)
+    def __getattr__(self, name: str):
+        return getattr(self.exact, name)
 
-    def value(self) -> Fraction:
-        return self.exact.value()
+    def _score(self, method: str, *move) -> Optional[Num]:
+        trial = getattr(self.fast, method)(*move)
+        if trial is None or trial > self._cut:
+            return trial  # an invalid move, or provably worse than now
+        return getattr(self.exact, method)(*move)
+
+    def _apply(self, method: str, *move) -> None:
+        getattr(self.exact, method)(*move)
+        getattr(self.fast, method)(*move)
+        self._cut = certified_threshold(self.exact.value())
 
     def score_reparent(self, node: str, new_parent: Optional[str]) -> Optional[Num]:
-        trial = self.fast.score_reparent(node, new_parent)
-        if trial is None:
-            return None
-        if trial <= self._cut:
-            return self.exact.score_reparent(node, new_parent)
-        # Provably worse than the current value: the float score is safe
-        # to return (it exceeds the exact current value too).
-        return trial
+        return self._score("score_reparent", node, new_parent)
 
     def apply_reparent(self, node: str, new_parent: Optional[str]) -> None:
-        self.exact.apply_reparent(node, new_parent)
-        self.fast.apply_reparent(node, new_parent)
-        self._refresh()
+        self._apply("apply_reparent", node, new_parent)
 
-    @property
-    def parents(self) -> Dict[str, Optional[str]]:
-        return self.exact.parents
+    def score_reassign(self, service: str, server: str) -> Num:
+        return self._score("score_reassign", service, server)
 
-    def subtree(self, node: str) -> List[str]:
-        return self.exact.subtree(node)
+    def apply_reassign(self, service: str, server: str) -> None:
+        self._apply("apply_reassign", service, server)
 
-    def graph(self) -> ExecutionGraph:
-        return self.exact.graph()
+    def score_swap(self, a: str, b: str) -> Num:
+        return self._score("score_swap", a, b)
 
-    def parent_row(self) -> Tuple[int, ...]:
-        return self.exact.parent_row()
+    def apply_swap(self, a: str, b: str) -> None:
+        self._apply("apply_swap", a, b)
+
+
+def _tiered(exactness: Exactness, exact_cls, float_cls, *args, **kwargs):
+    """The evaluator of one exactness tier from an (exact, float) class pair.
+
+    ``EXACT`` builds *exact_cls*, ``FAST`` its *float_cls* twin (float
+    values throughout — re-score the winner exactly), ``CERTIFIED`` the
+    :class:`Certified` pair.  An instance beyond float range gets the
+    exact evaluator on every tier.
+    """
+    if exactness.uses_float:
+        try:
+            fast = float_cls(*args, **kwargs)
+        except OverflowError:
+            pass  # beyond float range: the exact tier is always correct
+        else:
+            if exactness is Exactness.FAST:
+                return fast
+            return Certified(exact_cls(*args, **kwargs), fast)
+    return exact_cls(*args, **kwargs)
 
 
 def period_delta(
@@ -431,27 +438,26 @@ def period_delta(
     platform: Optional[Platform] = None,
     mapping: Optional[Mapping] = None,
     exactness: Exactness = Exactness.EXACT,
-) -> Optional["IncrementalForestPeriod"]:
+):
     """An incremental forest evaluator when it provably computes the
     period objective for this configuration, else ``None``.
 
-    The maintained quantity is the Section-2.1 bound, which *is* the
-    objective for OVERLAP (Theorem 1, any platform — at every effort) and
-    for the bound effort under the one-port models.  A non-unit platform
-    needs a pinned mapping (a free mapping re-runs the placement optimiser
-    per graph, which a structural delta cannot reproduce).  This is the
+    The maintained quantity is the Section-2.1 bound, so the objective
+    must be that bound (:func:`~repro.optimize.evaluation.period_is_bound`).
+    The delta additionally needs an injective mapping, an uncontended
+    platform, a pinned mapping on a non-unit platform (a free mapping
+    re-runs the placement optimiser per graph, which a structural delta
+    cannot reproduce) and a precedence-free forest.  This is the
     eligibility rule shared by the local-search solver and the
     branch-and-bound incumbent seeding.
 
-    *exactness* picks the numeric tier: ``EXACT`` returns the classic
-    :class:`IncrementalForestPeriod`, ``CERTIFIED`` the
-    :class:`CertifiedForestPeriod` pair (bit-for-bit identical decisions,
-    float-priced rejections), ``FAST`` the :class:`FloatForestPeriod`
-    twin (float values throughout — re-score the final graph exactly).
+    *exactness* picks the numeric tier (see :func:`_tiered`):
+    :class:`IncrementalForestPeriod`, its :class:`FloatForestPeriod` twin,
+    or the :class:`Certified` pair of both.
     """
-    from .evaluation import Effort
+    from .evaluation import period_is_bound
 
-    if model is not CommModel.OVERLAP and effort is not Effort.BOUND:
+    if not period_is_bound(model, effort, mapping):
         return None
     if platform is not None and platform.has_contention:
         # One reparent changes the flow pattern, hence the effective
@@ -464,20 +470,10 @@ def period_delta(
         return None
     if not graph.is_forest or graph.application.precedence:
         return None
-    exactness = Exactness.coerce(exactness)
-    try:
-        if exactness is Exactness.FAST:
-            return FloatForestPeriod(
-                graph, model=model, platform=platform, mapping=mapping
-            )
-        if exactness is Exactness.CERTIFIED:
-            return CertifiedForestPeriod(  # type: ignore[return-value]
-                graph, model=model, platform=platform, mapping=mapping
-            )
-    except OverflowError:
-        pass  # beyond float range: the exact tier below is always correct
-    return IncrementalForestPeriod(
-        graph, model=model, platform=platform, mapping=mapping
+    return _tiered(
+        Exactness.coerce(exactness),
+        IncrementalForestPeriod, FloatForestPeriod,
+        graph, model=model, platform=platform, mapping=mapping,
     )
 
 
@@ -766,83 +762,6 @@ class FloatMappingCosts(IncrementalMappingCosts):
     _num = staticmethod(float)
 
 
-class CertifiedPlacementCosts:
-    """Exact + float placement evaluators behind one certified interface.
-
-    Same protocol as :class:`CertifiedForestPeriod`, for the reassignment/
-    swap moves of the placement searches: float-tier pricing, exact
-    re-pricing inside the :data:`~repro.core.CERT_EPS` band, committed
-    moves applied to both tiers.  Wraps the injective pair by default;
-    pass ``shared=True`` for the shared-server (concurrent) pair.
-    """
-
-    __slots__ = ("exact", "fast", "eps", "_value", "_cut")
-
-    def __init__(
-        self,
-        graph: ExecutionGraph,
-        platform: Platform,
-        mapping: Mapping,
-        *,
-        model: CommModel = CommModel.OVERLAP,
-        weights: Optional[Dict[str, Fraction]] = None,
-        shared: bool = False,
-        eps: float = CERT_EPS,
-    ) -> None:
-        if shared:
-            self.exact = IncrementalSharedCosts(
-                graph, platform, mapping, model=model, weights=weights
-            )
-            self.fast: IncrementalSharedCosts = FloatSharedCosts(
-                graph, platform, mapping, model=model, weights=weights
-            )
-        else:
-            if weights:
-                raise ValueError("weights only apply to shared placements")
-            self.exact = IncrementalMappingCosts(
-                graph, platform, mapping, model=model
-            )
-            self.fast = FloatMappingCosts(graph, platform, mapping, model=model)
-        self.eps = eps
-        self._refresh()
-
-    def _refresh(self) -> None:
-        self._value = self.exact.value()
-        self._cut = certified_threshold(float(self._value), self.eps)
-
-    @property
-    def assignment(self) -> Dict[str, str]:
-        return self.exact.assignment
-
-    def value(self) -> Fraction:
-        return self.exact.value()
-
-    def mapping(self) -> Mapping:
-        return self.exact.mapping()
-
-    def score_reassign(self, service: str, server: str) -> Num:
-        trial = self.fast.score_reassign(service, server)
-        if trial <= self._cut:
-            return self.exact.score_reassign(service, server)
-        return trial
-
-    def apply_reassign(self, service: str, server: str) -> None:
-        self.exact.apply_reassign(service, server)
-        self.fast.apply_reassign(service, server)
-        self._refresh()
-
-    def score_swap(self, a: str, b: str) -> Num:
-        trial = self.fast.score_swap(a, b)
-        if trial <= self._cut:
-            return self.exact.score_swap(a, b)
-        return trial
-
-    def apply_swap(self, a: str, b: str) -> None:
-        self.exact.apply_swap(a, b)
-        self.fast.apply_swap(a, b)
-        self._refresh()
-
-
 def exact_placement_value(
     graph: ExecutionGraph,
     platform: Optional[Platform],
@@ -885,17 +804,14 @@ class FullPlacementCosts:
     co-routed edge — so the ``O(degree)`` deltas of
     :class:`IncrementalSharedCosts` are invalid.  This evaluator speaks
     the same protocol (``value``/``score_*``/``apply_*``/``assignment``/
-    ``mapping``) but re-prices each candidate mapping from scratch:
-    the float tier (:class:`~repro.core.FloatCosts`, sharing one
-    :class:`~repro.core.GraphArrays`) scores candidates, and the
-    certified tier re-prices exactly inside the
-    :data:`~repro.core.CERT_EPS` band, keeping accept/reject decisions —
-    and the returned value — bit-for-bit the all-``Fraction`` ones.
+    ``mapping``) but re-prices each candidate mapping from scratch through
+    :func:`exact_placement_value`; :class:`FloatFullPlacementCosts` is its
+    float twin.
     """
 
     __slots__ = (
-        "graph", "platform", "model", "weights", "shared", "exactness",
-        "eps", "assignment", "_arrays", "_allow_shared", "_value", "_cut",
+        "graph", "platform", "model", "weights", "shared", "assignment",
+        "_value",
     )
 
     def __init__(
@@ -907,95 +823,72 @@ class FullPlacementCosts:
         model: CommModel = CommModel.OVERLAP,
         weights: Optional[Dict[str, Fraction]] = None,
         shared: bool = False,
-        exactness: Exactness = Exactness.CERTIFIED,
-        eps: float = CERT_EPS,
     ) -> None:
         mapping.validate_on(graph.nodes, platform)
         self.graph = graph
         self.platform = platform
         self.model = model
         self.weights = dict(weights) if weights else None
-        self.shared = shared or bool(weights)
-        self._allow_shared = shared
-        self.exactness = Exactness.coerce(exactness)
-        self.eps = eps
-        self._arrays = GraphArrays(graph)
+        self.shared = shared
         self.assignment: Dict[str, str] = {
             svc: mapping.server(svc) for svc in graph.nodes
         }
-        self._refresh()
+        self._value = self._price(self.mapping())
 
-    # -- pricing -----------------------------------------------------------
-    def _mapping_of(self, assignment: Dict[str, str]) -> Mapping:
-        return Mapping(assignment, shared=self._allow_shared)
-
-    def _float_value(self, mapping: Mapping) -> float:
-        fast = FloatCosts(
-            self.graph, self.platform, mapping,
-            arrays=self._arrays, weights=self.weights,
-        )
-        return fast.period_lower_bound(self.model)
-
-    def _exact_value(self, mapping: Mapping) -> Fraction:
+    def _price(self, mapping: Mapping) -> Num:
         return exact_placement_value(
             self.graph, self.platform, mapping,
             model=self.model, weights=self.weights, shared=self.shared,
         )
-
-    def _score(self, mapping: Mapping) -> Num:
-        if self.exactness is not Exactness.EXACT:
-            try:
-                trial = self._float_value(mapping)
-            except OverflowError:
-                trial = None
-            if trial is not None and (
-                self.exactness is Exactness.FAST or trial > self._cut
-            ):
-                return trial
-        return self._exact_value(mapping)
-
-    def _refresh(self) -> None:
-        current = self._mapping_of(self.assignment)
-        if self.exactness is Exactness.FAST:
-            try:
-                self._value: Num = self._float_value(current)
-            except OverflowError:
-                self._value = self._exact_value(current)
-        else:
-            self._value = self._exact_value(current)
-        try:
-            self._cut = certified_threshold(float(self._value), self.eps)
-        except OverflowError:
-            self._cut = float("inf")  # arbitrate everything exactly
 
     # -- public API (the incremental evaluators' protocol) ------------------
     def value(self) -> Num:
         return self._value
 
     def mapping(self) -> Mapping:
-        return self._mapping_of(self.assignment)
+        return Mapping(self.assignment, shared=self.shared)
 
     def score_reassign(self, service: str, server: str) -> Num:
         trial = dict(self.assignment)
         trial[service] = server
-        return self._score(self._mapping_of(trial))
+        return self._price(Mapping(trial, shared=self.shared))
 
     def apply_reassign(self, service: str, server: str) -> None:
         self.assignment = dict(self.assignment)
         self.assignment[service] = server
-        self._refresh()
+        self._value = self._price(self.mapping())
 
     def score_swap(self, a: str, b: str) -> Num:
         trial = dict(self.assignment)
         trial[a], trial[b] = trial[b], trial[a]
-        return self._score(self._mapping_of(trial))
+        return self._price(Mapping(trial, shared=self.shared))
 
     def apply_swap(self, a: str, b: str) -> None:
         self.assignment = dict(self.assignment)
         self.assignment[a], self.assignment[b] = (
             self.assignment[b], self.assignment[a]
         )
-        self._refresh()
+        self._value = self._price(self.mapping())
+
+
+class FloatFullPlacementCosts(FullPlacementCosts):
+    """Float twin of :class:`FullPlacementCosts` (the fast tier).
+
+    Prices each candidate on the :class:`~repro.core.FloatCosts` kernel,
+    sharing one :class:`~repro.core.GraphArrays` across every mapping.
+    """
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self, graph: ExecutionGraph, *args, **kwargs) -> None:
+        self._arrays = GraphArrays(graph)
+        super().__init__(graph, *args, **kwargs)
+
+    def _price(self, mapping: Mapping) -> Num:
+        return FloatCosts(
+            self.graph, self.platform, mapping,
+            arrays=self._arrays, weights=self.weights,
+        ).period_lower_bound(self.model)
 
 
 def placement_evaluator(
@@ -1008,46 +901,38 @@ def placement_evaluator(
     shared: bool = False,
     exactness: Exactness = Exactness.EXACT,
 ):
-    """The placement delta evaluator matching one exactness tier.
+    """The placement evaluator matching one exactness tier.
 
-    ``EXACT`` builds the classic Fraction evaluator, ``CERTIFIED`` the
-    paired :class:`CertifiedPlacementCosts` (bit-for-bit identical search
-    decisions), ``FAST`` the float twin (re-score the winner exactly).
-    Contended topologies always dispatch to :class:`FullPlacementCosts`
-    (same protocol, full recompute per candidate) — the incremental
-    deltas are invalid there.
+    Picks the (exact, float) class pair once — :class:`FullPlacementCosts`
+    on contended topologies (the incremental deltas are invalid there),
+    :class:`IncrementalSharedCosts` for shared placements,
+    :class:`IncrementalMappingCosts` for injective ones — and builds the
+    tier's evaluator from it (:func:`_tiered`): the exact class, its
+    float twin (``FAST``) or the :class:`Certified` pair (``CERTIFIED``,
+    bit-for-bit identical search decisions).  *weights* only apply to
+    shared placements.
     """
-    exactness = Exactness.coerce(exactness)
+    if weights and not shared:
+        raise ValueError("weights only apply to shared placements")
     if platform.has_contention:
-        return FullPlacementCosts(
-            graph, platform, mapping, model=model, weights=weights,
-            shared=shared, exactness=exactness,
-        )
-    try:
-        if exactness is Exactness.CERTIFIED:
-            return CertifiedPlacementCosts(
-                graph, platform, mapping, model=model, weights=weights,
-                shared=shared,
-            )
-        if exactness is Exactness.FAST:
-            if shared:
-                return FloatSharedCosts(
-                    graph, platform, mapping, model=model, weights=weights
-                )
-            return FloatMappingCosts(graph, platform, mapping, model=model)
-    except OverflowError:
-        pass  # beyond float range: the exact tier below is always correct
-    if shared:
-        return IncrementalSharedCosts(
-            graph, platform, mapping, model=model, weights=weights
-        )
-    return IncrementalMappingCosts(graph, platform, mapping, model=model)
+        pair = (FullPlacementCosts, FloatFullPlacementCosts)
+        options = {"weights": weights, "shared": shared}
+    elif shared:
+        pair = (IncrementalSharedCosts, FloatSharedCosts)
+        options = {"weights": weights}
+    else:
+        pair = (IncrementalMappingCosts, FloatMappingCosts)
+        options = {}
+    return _tiered(
+        Exactness.coerce(exactness), *pair,
+        graph, platform, mapping, model=model, **options,
+    )
 
 
 __all__ = [
-    "CertifiedForestPeriod",
-    "CertifiedPlacementCosts",
+    "Certified",
     "FloatForestPeriod",
+    "FloatFullPlacementCosts",
     "FloatMappingCosts",
     "FloatSharedCosts",
     "FullPlacementCosts",

@@ -24,13 +24,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from ..core import (
     Application,
     CommModel,
     Exactness,
     ExecutionGraph,
+    Incumbent,
     Mapping,
     Platform,
+    certified_threshold,
 )
 from ..core.graph import CycleError
 from .evaluation import (
@@ -64,17 +68,8 @@ def _gate_reparents(batch, parents, node, candidates, current):
     candidate that is provably not an improvement on *current* — cyclic
     rows (the scalar path's ``CycleError``) and rows whose float bound
     exceeds ``certified_threshold(current)``.  Skipping only those leaves
-    the accepted-move sequence bit-for-bit the ungated one.  Returns
-    ``None`` when the gate cannot run (float overflow on *current*).
+    the accepted-move sequence bit-for-bit the ungated one.
     """
-    import numpy as np
-
-    from ..core import certified_threshold
-
-    try:
-        cut = certified_threshold(float(current))
-    except OverflowError:
-        return None  # beyond float range: score every candidate exactly
     names = batch.names
     index = {name: i for i, name in enumerate(names)}
     base = np.array(
@@ -86,7 +81,7 @@ def _gate_reparents(batch, parents, node, candidates, current):
         -1 if c is None else index[c] for c in candidates
     ]
     valid, fast = batch.periods(rows)
-    return ~valid | (fast > cut)
+    return ~valid | (fast > certified_threshold(current))
 
 
 def local_search_forest(
@@ -326,13 +321,14 @@ def placement_local_search(
     """
     start.validate_on(graph.nodes, platform)
     services = list(start.services())
-    state = {"mapping": start}
+    # skip: the bulk-priced verdicts of the most recent neighbourhood
+    # column; last: the most recent exact score (what an accept commits).
+    state = {"mapping": start, "skip": {}, "last": None}
     initial = evaluator.value() if evaluator is not None else objective(start)
-    gate: Optional[dict] = None
+    gate: Optional[Incumbent] = None
     if batch is not None and evaluator is None:
-        # value: the scan's running best (promoted on apply); skip: the
-        # bulk-priced verdicts of the most recent neighbourhood column.
-        gate = {"value": initial, "last": None, "skip": {}}
+        gate = Incumbent()  # the scan's running best, promoted on apply
+        gate.offer(initial, start)
 
     def _bulk_gate(variants) -> None:
         """Bulk-price candidate moves; record which are provably rejects.
@@ -343,20 +339,11 @@ def placement_local_search(
         stable; skipped candidates are exactly those the ungated scan
         would score and reject.
         """
-        import numpy as np
-
-        from ..core import certified_threshold
-
         assert gate is not None
-        gate["skip"] = {}
-        try:
-            cut = certified_threshold(float(gate["value"]))
-        except OverflowError:
-            return  # beyond float range: score every candidate exactly
         rows = np.stack([batch.encode(m) for _key, m in variants])
-        fast = batch.values(rows)
-        gate["skip"] = {
-            key: bool(fast[k] > cut) for k, (key, _m) in enumerate(variants)
+        rejected = gate.rejects(batch.values(rows))
+        state["skip"] = {
+            key: bool(rejected[k]) for k, (key, _m) in enumerate(variants)
         }
 
     def idle_servers(service: str):
@@ -371,39 +358,38 @@ def placement_local_search(
             )
         return names
 
+    def gated_score(key, mapping: Mapping) -> Fraction:
+        if state["skip"].get(key):
+            return gate.value  # provably no better: reject without scoring
+        state["last"] = objective(mapping)
+        return state["last"]
+
+    def commit(mapping: Mapping) -> None:
+        state["mapping"] = mapping
+        if gate is not None:
+            gate.offer(state["last"], mapping)  # the accept scored exactly
+
     def score_reassign(service: str, server: str) -> Fraction:
         if evaluator is not None:
             return evaluator.score_reassign(service, server)
-        if gate is not None and gate["skip"].get((service, server)):
-            return gate["value"]  # provably no better: reject without scoring
-        val = objective(state["mapping"].reassigned(service, server))
-        if gate is not None:
-            gate["last"] = val
-        return val
+        return gated_score(
+            (service, server), state["mapping"].reassigned(service, server)
+        )
 
     def apply_reassign(service: str, server: str) -> None:
         if evaluator is not None:
             evaluator.apply_reassign(service, server)
-        if gate is not None:
-            gate["value"] = gate["last"]  # the accept just scored exactly
-        state["mapping"] = state["mapping"].reassigned(service, server)
+        commit(state["mapping"].reassigned(service, server))
 
     def score_swap(a: str, b: str) -> Fraction:
         if evaluator is not None:
             return evaluator.score_swap(a, b)
-        if gate is not None and gate["skip"].get(("swap", a, b)):
-            return gate["value"]  # provably no better: reject without scoring
-        val = objective(state["mapping"].swapped(a, b))
-        if gate is not None:
-            gate["last"] = val
-        return val
+        return gated_score(("swap", a, b), state["mapping"].swapped(a, b))
 
     def apply_swap(a: str, b: str) -> None:
         if evaluator is not None:
             evaluator.apply_swap(a, b)
-        if gate is not None:
-            gate["value"] = gate["last"]
-        state["mapping"] = state["mapping"].swapped(a, b)
+        commit(state["mapping"].swapped(a, b))
 
     def all_pairs():
         pairs = [

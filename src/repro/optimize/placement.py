@@ -27,14 +27,16 @@ from collections import OrderedDict
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core import (
     CommModel,
     CostModel,
     Exactness,
     ExecutionGraph,
-    FloatCosts,
-    GraphArrays,
+    Incumbent,
     Mapping,
+    MappingBatch,
     Platform,
 )
 
@@ -106,61 +108,6 @@ def greedy_mapping(graph: ExecutionGraph, platform: Platform) -> Mapping:
     return Mapping({svc: srv.name for svc, srv in zip(services, servers)})
 
 
-def _fast_mapping_value(
-    graph: ExecutionGraph,
-    kind: str,
-    model: CommModel,
-    effort,
-    platform: Platform,
-    *,
-    weights=None,
-    shared: bool = False,
-):
-    """A per-mapping float scorer, or ``None`` when no kernel applies.
-
-    The kernel covers exactly the configurations whose per-mapping
-    objective is a :class:`~repro.core.CostModel` bound (the placement
-    analogue of the per-graph rule in
-    :func:`repro.optimize.evaluation.make_fast_period_objective`): the
-    period bound for OVERLAP or the bound effort, the latency bound for
-    non-forests at the bound effort — and *shared* placements always,
-    whose (optionally *weights*-scaled) aggregated load is the bound by
-    construction.  Forest latency is Algorithm-1 territory.  The flat
-    arrays are compiled only once the gate passes and shared by every
-    mapping the returned scorer prices; a per-mapping ``None`` (float
-    overflow) tells the caller to score exactly.
-    """
-    from .evaluation import Effort
-
-    if shared or kind == "period":
-        covered = (
-            shared or model is CommModel.OVERLAP or effort is Effort.BOUND
-        )
-        latency = False
-    else:
-        covered = effort is Effort.BOUND and not graph.is_forest
-        latency = True
-    if not covered:
-        return None
-    try:
-        arrays = GraphArrays(graph)
-    except OverflowError:
-        return None  # beyond float range: exact tier only
-
-    def scorer(mapping: Mapping):
-        try:
-            fast = FloatCosts(
-                graph, platform, mapping, arrays=arrays, weights=weights
-            )
-            if latency:
-                return fast.latency_lower_bound()
-            return fast.period_lower_bound(model)
-        except OverflowError:
-            return None
-
-    return scorer
-
-
 def _make_mapping_batch(
     graph: ExecutionGraph,
     kind: str,
@@ -173,87 +120,58 @@ def _make_mapping_batch(
 ):
     """A :class:`~repro.core.MappingBatch` for this configuration, or ``None``.
 
-    The batched twin of :func:`_fast_mapping_value`: covered in exactly
-    the same configurations, with per-row values bit-for-bit the scalar
-    scorer's; ``None`` where the scalar gate would not apply (or numpy is
-    missing, or the instance overflows float range).
+    Covered exactly where the per-mapping objective is a
+    :class:`~repro.core.CostModel` bound — the placement form of
+    :func:`~repro.optimize.evaluation.period_is_bound` /
+    :func:`~repro.optimize.evaluation.latency_is_bound` over injective
+    assignments, and *shared* placements always, whose (optionally
+    *weights*-scaled) aggregated load is the bound by construction.
+    ``None`` elsewhere, or when the instance overflows float range.
     """
-    from .evaluation import Effort
+    from .evaluation import latency_is_bound, period_is_bound
 
-    if shared or kind == "period":
-        covered = shared or model is CommModel.OVERLAP or effort is Effort.BOUND
-        batch_kind = "period"
+    if kind == "period":
+        covered = shared or period_is_bound(model, effort, None)
     else:
-        covered = effort is Effort.BOUND and not graph.is_forest
-        batch_kind = "latency"
+        covered = latency_is_bound(effort, None, graph)
     if not covered:
         return None
     try:
-        from ..core.batched import MappingBatch
-    except ImportError:  # pragma: no cover - numpy-free environments
-        return None
-    try:
         return MappingBatch(
-            graph, platform, kind=batch_kind, model=model,
+            graph, platform, kind=kind, model=model,
             shared=shared, weights=weights,
         )
     except OverflowError:
         return None  # beyond float range: exact tier only
 
 
-def _scan_mappings_batched(
-    candidates, batch, exact_score, *, fast_tier: bool = False
-):
-    """The certified (or FAST) placement scan, float-gated in bulk.
+def _scan_mappings(candidates, batch, exact_score, *, fast_tier: bool = False):
+    """The placement scan: exact, or float-gated in bulk by *batch*.
 
-    *candidates* is the full enumeration (materialised — placement spaces
-    on the exhaustive branch are a few hundred rows); one numpy call
-    prices every row, then survivors are exact-scored in enumeration order
-    under the running :func:`~repro.core.certified_threshold` cut exactly
-    like :func:`~repro.optimize.exhaustive.scan_best`.  ``fast_tier=True``
-    skips exact scoring entirely and returns the first float minimum's
-    image — :func:`_fast_scan` semantics.
+    Without a *batch* this is the plain exact
+    :func:`~repro.optimize.exhaustive.scan_best`.  With one, a single
+    numpy call prices the whole (materialised — placement spaces on the
+    exhaustive branch are a few hundred rows) enumeration, and survivors
+    of the running :class:`~repro.core.Incumbent`'s gate are exact-scored
+    in enumeration order — the same value, mapping and tie-break as the
+    exact scan.  ``fast_tier=True`` skips exact scoring entirely and
+    returns the first float minimum's image.
     """
-    import numpy as np
+    if batch is None:
+        from .exhaustive import scan_best
 
-    from ..core import certified_threshold
-
+        value, best_mapping, _ = scan_best(candidates, exact_score)
+        return value, best_mapping
     mappings = list(candidates)
-    rows = np.stack([batch.encode(m) for m in mappings])
-    fast = batch.values(rows)
+    fast = batch.values(np.stack([batch.encode(m) for m in mappings]))
     if fast_tier:
         best = int(np.argmin(fast))  # argmin keeps the first minimum
         return Fraction(float(fast[best])), mappings[best]
-    best_val = None
-    best_mapping = None
-    cut = None
+    best = Incumbent()
     for k, mapping in enumerate(mappings):
-        if cut is not None and fast[k] > cut:
-            continue  # provably no better than the incumbent
-        val = exact_score(mapping)
-        if best_val is None or val < best_val:
-            best_val, best_mapping = val, mapping
-            try:
-                cut = certified_threshold(float(best_val))
-            except OverflowError:
-                cut = None  # beyond float range: exact scoring only
-    assert best_val is not None and best_mapping is not None
-    return best_val, best_mapping
-
-
-def _fast_scan(candidates, fast_score, exact_score):
-    """FAST-tier scan: float scores, exact fallback per ``None``, first
-    strict minimum wins; the winner's value is the float image."""
-    best = None
-    best_candidate = None
-    for candidate in candidates:
-        f = fast_score(candidate) if fast_score is not None else None
-        if f is None:
-            f = exact_score(candidate)  # no kernel / float overflow
-        if best is None or f < best:
-            best, best_candidate = f, candidate
-    assert best is not None and best_candidate is not None
-    return Fraction(best), best_candidate
+        if not best.rejects(fast[k]):
+            best.offer(exact_score(mapping), mapping)
+    return best.value, best.item
 
 
 def optimize_mapping(
@@ -308,7 +226,11 @@ def optimize_mapping(
         >>> value, mapping.server("B")
         (Fraction(3, 1), 'S2')
     """
-    from .evaluation import Effort, latency_objective, period_objective
+    from .evaluation import (
+        latency_objective,
+        period_is_bound,
+        period_objective,
+    )
     from .incremental import placement_evaluator
     from .local_search import placement_local_search
 
@@ -337,41 +259,15 @@ def optimize_mapping(
     platform.require_capacity(len(graph.nodes))
     space = mapping_space_size(len(graph.nodes), len(platform))
     if space <= exhaustive_limit:
-        from .exhaustive import scan_best
-
         batch = (
             _make_mapping_batch(graph, kind, model, effort, platform)
             if exactness.uses_float
             else None
         )
-        if batch is not None:
-            # One numpy call prices the whole space; same gate decisions
-            # (and FAST first-minimum rule) as the scalar paths below.
-            outcome = _scan_mappings_batched(
-                iter_mappings(graph.nodes, platform), batch, score,
-                fast_tier=exactness is Exactness.FAST,
-            )
-        elif exactness is Exactness.FAST:
-            fast_score = _fast_mapping_value(
-                graph, kind, model, effort, platform
-            )
-            outcome = _fast_scan(
-                iter_mappings(graph.nodes, platform), fast_score, score
-            )
-        else:
-            fast_score = (
-                _fast_mapping_value(graph, kind, model, effort, platform)
-                if exactness.uses_float
-                else None
-            )
-            # Plain scan (exact) or the certified float-gated scan —
-            # scan_best is item-type-agnostic and encodes the gate,
-            # cut-update and first-tie rules once for every caller.
-            value, best_mapping, _ = scan_best(
-                iter_mappings(graph.nodes, platform), score,
-                fast_objective=fast_score,
-            )
-            outcome = (value, best_mapping)
+        outcome = _scan_mappings(
+            iter_mappings(graph.nodes, platform), batch, score,
+            fast_tier=exactness is Exactness.FAST,
+        )
     else:
         use_hierarchy = strategy == "hierarchical" or (
             strategy == "auto" and len(platform.topology.groups()) > 1
@@ -390,8 +286,8 @@ def optimize_mapping(
         flat_seed = greedy_mapping(graph, platform)
         if not any(s.items() == flat_seed.items() for s in seeds):
             seeds.append(flat_seed)
-        use_evaluator = kind == "period" and (
-            model is CommModel.OVERLAP or effort is Effort.BOUND
+        use_evaluator = kind == "period" and period_is_bound(
+            model, effort, None
         )
         batch = (
             _make_mapping_batch(graph, kind, model, effort, platform)
@@ -567,8 +463,6 @@ def optimize_shared_mapping(
         return outcome
     method = shared_search_method(len(services), len(platform), exhaustive_limit)
     if method == "shared-exhaustive":
-        from .exhaustive import scan_best
-
         if platform.has_contention:
             # The incremental evaluator refuses contended topologies (its
             # deltas assume static bandwidths); score each candidate from
@@ -594,34 +488,10 @@ def optimize_shared_mapping(
             if exactness.uses_float
             else None
         )
-        if batch is not None:
-            outcome = _scan_mappings_batched(
-                iter_shared_mappings(services, platform), batch, exact_value,
-                fast_tier=exactness is Exactness.FAST,
-            )
-        else:
-            # The (weighted) aggregated load == the kernel's shared period
-            # bound; the flat arrays amortise the mapping-independent work
-            # across the whole enumeration.
-            fast_value = (
-                _fast_mapping_value(
-                    graph, "period", model, None, platform,
-                    weights=weights, shared=True,
-                )
-                if exactness.uses_float
-                else None
-            )
-            if exactness is Exactness.FAST:
-                outcome = _fast_scan(
-                    iter_shared_mappings(services, platform), fast_value,
-                    exact_value,
-                )
-            else:
-                value, best_mapping, _ = scan_best(
-                    iter_shared_mappings(services, platform), exact_value,
-                    fast_objective=fast_value,
-                )
-                outcome = (value, best_mapping)
+        outcome = _scan_mappings(
+            iter_shared_mappings(services, platform), batch, exact_value,
+            fast_tier=exactness is Exactness.FAST,
+        )
     else:
         seed = greedy_shared_mapping(graph, platform, weights=weights)
         evaluator = placement_evaluator(

@@ -17,14 +17,11 @@ this module, only speed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..core import CommModel, ExecutionGraph
+import numpy as np
 
-try:  # pragma: no cover - exercised only where numpy is absent
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+from ..core import CommModel, ExecutionGraph, ForestBatch
 
 
 def scenario_period_matrix(
@@ -35,16 +32,14 @@ def scenario_period_matrix(
 ) -> Optional["np.ndarray"]:
     """The ``(len(candidates), len(scenarios))`` float period matrix.
 
-    ``None`` when the batch preconditions fail: no numpy, a non-OVERLAP
-    model (their exact period is not the Theorem-1 bound at every
-    effort, so float ranks could disagree with exact certification), a
-    non-forest candidate, or a scenario on a non-unit platform without a
+    ``None`` when the batch preconditions fail: a non-OVERLAP model
+    (their exact period is not the Theorem-1 bound at every effort, so
+    float ranks could disagree with exact certification), a non-forest
+    candidate, or a scenario on a non-unit platform without a
     pinned mapping (per-row placement search is the scalar path's job).
     """
-    if np is None or model is not CommModel.OVERLAP or not candidates:
+    if model is not CommModel.OVERLAP or not candidates:
         return None
-    from ..core.batched import ForestBatch
-
     for scenario in scenarios:
         platform = scenario.platform
         if platform is not None and not platform.is_unit and mapping is None:

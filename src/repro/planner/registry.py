@@ -175,8 +175,6 @@ def _solve_exhaustive(
     effort: Effort,
     objective_fn,
     space: Optional[str] = None,
-    batch: bool = True,
-    chunk: int = 512,
 ) -> SolverOutcome:
     """Exact enumeration: forests for period (Prop 4), DAGs for latency.
 
@@ -225,8 +223,7 @@ def _solve_exhaustive(
                 effort, platform, mapping
             )
     if (
-        batch
-        and space == "forests"
+        space == "forests"
         and objective == "period"
         and fast_objective is not None
     ):
@@ -237,11 +234,10 @@ def _solve_exhaustive(
         fb = make_forest_period_batch(app, model, effort, platform, mapping)
         if fb is not None:
             value, graph, count = scan_best_forests_batched(
-                app, objective_fn, fb, chunk=chunk
+                app, objective_fn, fb
             )
             return value, graph, {
-                "space": space, "graphs_considered": count,
-                "batched": True, "chunk": chunk,
+                "space": space, "graphs_considered": count, "batched": True,
             }
     graphs = iter_forests(app) if space == "forests" else iter_dags(app)
     value, graph, count = scan_best(
@@ -270,19 +266,17 @@ def _solve_local_search(
     effort: Effort,
     objective_fn,
     max_moves: int = 200,
-    incremental: bool = True,
 ) -> SolverOutcome:
     """Greedy seed plus reparenting local search.
 
     Where the objective equals the Section-2.1 bound (period under
     OVERLAP, or the bound effort) candidate moves are priced by
     :class:`~repro.optimize.incremental.IncrementalForestPeriod` deltas
-    instead of full objective evaluations; ``incremental=False`` (a solver
-    option) forces the baseline path, e.g. for benchmarking.
+    instead of full objective evaluations.
     """
     seed_value, seed_graph = greedy_forest(app, objective_fn)
     delta = None
-    if incremental and objective == "period":
+    if objective == "period":
         delta = period_delta(
             seed_graph, model, effort,
             getattr(objective_fn, "platform", None),

@@ -38,10 +38,12 @@ from repro.core import (
     certified_threshold,
 )
 from repro.optimize import (
-    CertifiedForestPeriod,
+    Certified,
     FloatForestPeriod,
+    FloatFullPlacementCosts,
     FloatMappingCosts,
     FloatSharedCosts,
+    FullPlacementCosts,
     IncrementalForestPeriod,
     IncrementalMappingCosts,
     IncrementalSharedCosts,
@@ -56,9 +58,23 @@ from repro.optimize.evaluation import (
     Effort,
     fast_latency_value,
     fast_period_value,
+    latency_is_bound,
+    latency_objective,
+    period_is_bound,
+    period_objective,
 )
+from repro.optimize.exhaustive import (
+    exhaustive_minlatency,
+    exhaustive_minperiod,
+)
+from repro.optimize.incremental import placement_evaluator
 from repro.planner import EvaluationCache, solve
-from repro.workloads.generators import random_application
+from repro.planner.catalog import load_platform
+from repro.workloads import fig1_example
+from repro.workloads.generators import (
+    random_application,
+    random_execution_graph,
+)
 
 F = Fraction
 
@@ -248,10 +264,200 @@ class TestFloatTwinParity:
             )
             cert_val, cert_graph = local_search_forest(
                 start, objective,
-                delta=CertifiedForestPeriod(start, model=CommModel.OVERLAP),
+                delta=Certified(
+                    IncrementalForestPeriod(start, model=CommModel.OVERLAP),
+                    FloatForestPeriod(start, model=CommModel.OVERLAP),
+                ),
             )
             assert cert_val == exact_val
             assert cert_graph.edges == exact_graph.edges
+
+
+def _certified_pair_start(
+    kind, seed, rng, het_instance, multi_instance, forest_graph
+):
+    """``(exact, Certified pair, propose)`` from one seeded start.
+
+    *propose(exact)* draws one candidate move as ``(score, apply, args)``
+    method names plus arguments, valid for the evaluator kind.
+    """
+    if kind == "forest":
+        app = random_application(
+            rng.randint(3, 7), seed=seed, filter_fraction=0.6
+        )
+        graph = forest_graph(app, rng)
+        build = (IncrementalForestPeriod, FloatForestPeriod)
+        args, kwargs = (graph,), {"model": CommModel.OVERLAP}
+        names = list(app.names)
+
+        def propose(exact):
+            node = rng.choice(names)
+            parent = rng.choice([None] + [p for p in names if p != node])
+            return "score_reparent", "apply_reparent", (node, parent)
+    else:
+        if kind == "injective":
+            graph, platform, mapping = het_instance(seed, spare_servers=2)
+            build = (IncrementalMappingCosts, FloatMappingCosts)
+            kwargs = {}
+        elif kind == "shared":
+            multi, platform, mapping = multi_instance(seed)
+            graph = multi.combined_graph
+            build = (IncrementalSharedCosts, FloatSharedCosts)
+            kwargs = {}
+        else:  # contended: full recompute on a shared-link tree
+            platform = load_platform("tree:racks=2,servers=3")
+            app = random_application(
+                rng.randint(3, 6), seed=seed, filter_fraction=0.6
+            )
+            graph = random_execution_graph(app, seed=seed, density=0.5)
+            shared = seed % 2 == 1
+            if shared:  # everything piled on one server: plenty to improve
+                servers = [platform.names[0]] * len(app.names)
+            else:
+                servers = rng.sample(list(platform.names), len(app.names))
+            mapping = Mapping(dict(zip(app.names, servers)), shared=shared)
+            build = (FullPlacementCosts, FloatFullPlacementCosts)
+            kwargs = {"shared": shared}
+        args = (graph, platform, mapping)
+        services = sorted(graph.nodes)
+        injective = mapping.is_injective and kind != "shared"
+
+        def propose(exact):
+            if len(services) > 1 and rng.random() < 0.4:
+                a, b = rng.sample(services, 2)
+                return "score_swap", "apply_swap", (a, b)
+            used = set(exact.assignment.values())
+            servers = [
+                s for s in platform.names
+                if not (injective and s in used)
+            ]
+            if not servers:
+                a, b = services[0], services[-1]
+                return "score_swap", "apply_swap", (a, b)
+            svc = rng.choice(services)
+            move = (svc, rng.choice(servers))
+            return "score_reassign", "apply_reassign", move
+    exact_cls, float_cls = build
+    exact = exact_cls(*args, **kwargs)
+    pair = Certified(exact_cls(*args, **kwargs), float_cls(*args, **kwargs))
+    return exact, pair, propose
+
+
+@pytest.mark.parametrize(
+    "kind", ["forest", "injective", "shared", "contended"]
+)
+def test_certified_pair_replays_exact_moves(
+    kind, het_instance, multi_instance, forest_graph
+):
+    # Replayed move by move from seeded starts, the Certified pair accepts
+    # exactly the moves its exact evaluator accepts (first improvement
+    # over random proposals) and ends at the same exact value.
+    accepted = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        exact, pair, propose = _certified_pair_start(
+            kind, seed, rng, het_instance, multi_instance, forest_graph
+        )
+        assert pair.value() == exact.value()
+        for _ in range(40):
+            score, apply, move = propose(exact)
+            ev = getattr(exact, score)(*move)
+            cv = getattr(pair, score)(*move)
+            if ev is None:
+                assert cv is None  # a cyclic reparent on both tiers
+                continue
+            takes = ev < exact.value()
+            assert (cv < pair.value()) == takes, (kind, seed, move)
+            if takes:
+                assert cv == ev and isinstance(cv, Fraction)
+                getattr(exact, apply)(*move)
+                getattr(pair, apply)(*move)
+                accepted += 1
+        assert pair.value() == exact.value(), (kind, seed)
+        assert isinstance(pair.value(), Fraction)
+    assert accepted >= 12, accepted
+
+
+class TestCoverageRule:
+    """``period_is_bound`` / ``latency_is_bound``: wherever a predicate
+    holds, the objective *is* the Section-2.1 bound (the one rule every
+    float gate relies on)."""
+
+    @staticmethod
+    def _graphs():
+        yield fig1_example().graph
+        for seed in range(4):
+            app = random_application(5, seed=seed, filter_fraction=0.6)
+            yield random_execution_graph(app, seed=seed, density=0.4)
+
+    @staticmethod
+    def _configurations(graph):
+        """Unit, ``het:`` pinned injective, and shared placements."""
+        names = sorted(graph.nodes)
+        platform = load_platform(f"het:n={len(names) + 1},seed=2")
+        yield None, None
+        yield platform, Mapping(dict(zip(names, platform.names)))
+        yield platform, Mapping.shared(
+            {name: platform.names[i % 2] for i, name in enumerate(names)}
+        )
+
+    def test_period_objective_is_the_bound_where_the_rule_holds(self):
+        covered = 0
+        for graph in self._graphs():
+            for platform, mapping in self._configurations(graph):
+                bound = CostModel(graph, platform, mapping)
+                for model in CommModel:
+                    for effort in Effort:
+                        if not period_is_bound(model, effort, mapping):
+                            continue
+                        covered += 1
+                        assert period_objective(
+                            graph, model, effort, platform, mapping
+                        ) == bound.period_lower_bound(model), (model, effort)
+        # Per graph: OVERLAP or BOUND (5 of 9) on the unit and injective
+        # placements, every model x effort (9) on the shared one.
+        assert covered == 5 * (5 + 5 + 9)
+
+    def test_period_rule_edge_section_2_3(self):
+        # INORDER under HEURISTIC/EXACT is *not* covered: the bound is 7,
+        # the period 23/3.
+        graph = fig1_example().graph
+        for effort in (Effort.HEURISTIC, Effort.EXACT):
+            assert not period_is_bound(CommModel.INORDER, effort, None)
+        assert period_is_bound(CommModel.INORDER, Effort.BOUND, None)
+        assert CostModel(graph).period_lower_bound(CommModel.INORDER) == 7
+        assert period_objective(
+            graph, CommModel.INORDER, Effort.EXACT
+        ) == F(23, 3)
+
+    def test_latency_objective_is_the_bound_where_the_rule_holds(self):
+        covered = 0
+        for graph in self._graphs():
+            for platform, mapping in self._configurations(graph):
+                costs = CostModel(graph, platform, mapping)
+                bound = costs.latency_lower_bound()
+                for effort in Effort:
+                    if not latency_is_bound(effort, mapping, graph):
+                        continue
+                    covered += 1
+                    for model in CommModel:
+                        assert latency_objective(
+                            graph, model, effort, platform, mapping
+                        ) == bound, (model, effort)
+        assert covered >= 5 * 3
+
+    def test_latency_rule_edge_one_port_fork(self):
+        # An injective forest is Algorithm-1 territory even at BOUND: the
+        # fork's two one-port sends serialise (latency 6, bound 5).
+        from repro import make_application
+
+        app = make_application([("A", 1, 1), ("B", 1, 1), ("C", 1, 1)])
+        fork = ExecutionGraph(app, [("A", "B"), ("A", "C")])
+        assert not latency_is_bound(Effort.BOUND, None, fork)
+        assert CostModel(fork).latency_lower_bound() == 5
+        assert latency_objective(fork, CommModel.INORDER, Effort.BOUND) == 6
+        shared = Mapping.shared({"A": "S1", "B": "S1", "C": "S2"})
+        assert latency_is_bound(Effort.HEURISTIC, shared, fork)
 
 
 class TestCertifiedSearchBitForBit:
@@ -422,6 +628,9 @@ class TestAdversarialNearTies:
         cut = certified_threshold(value)
         assert cut > value
         assert cut == value * (1.0 + CERT_EPS)
+        assert certified_threshold(F(3)) == cut  # exact incumbents too
+        # Beyond float range no float may reject: everything scores exactly.
+        assert certified_threshold(F(10) ** 400) == float("inf")
 
     def test_exhaustive_scan_near_tie(self):
         from repro import make_application
@@ -553,3 +762,67 @@ class TestExactnessCoercion:
         ]) == 0
         out = capsys.readouterr().out
         assert "cumulative" in out and "value 4" in out
+
+
+class TestPlacementEvaluatorFixes:
+    """Regressions of the placement evaluator's tier dispatch."""
+
+    #: A 7-service chain whose first cost is beyond float range.
+    HUGE = [("A", F(10) ** 400, "1/2")] + [
+        (f"S{i}", i + 1, "3/4") for i in range(1, 7)
+    ]
+
+    @pytest.mark.parametrize(
+        "spec", ["het:n=8,seed=0", "tree:racks=2,servers=4"]
+    )
+    def test_overflowing_instance_on_every_tier(self, spec):
+        # A contended topology used to build the float arrays even at
+        # exactness="exact" and crash with OverflowError.  Both spaces are
+        # past their exhaustive limits, so the local searches run.
+        from repro import make_application
+
+        app = make_application(self.HUGE)
+        graph = ExecutionGraph.chain(app, list(app.names))
+        platform = load_platform(spec)
+        searches = {
+            "mapping": lambda tier: optimize_mapping(
+                graph, "period", CommModel.OVERLAP, Effort.HEURISTIC,
+                platform, exactness=tier,
+            ),
+            "shared": lambda tier: optimize_shared_mapping(
+                graph, CommModel.OVERLAP, platform, exactness=tier
+            ),
+        }
+        outcomes = {}
+        for name, search in searches.items():
+            values = outcomes[name] = {}
+            for tier in Exactness:
+                clear_placement_memo()
+                values[tier] = search(tier)
+            clear_placement_memo()
+            assert values[Exactness.CERTIFIED] == values[Exactness.EXACT], name
+            assert isinstance(values[Exactness.FAST][0], Fraction), name
+        result = solve(
+            graph, model=CommModel.OVERLAP, platform=spec, exactness="exact",
+            schedule=False,
+        )
+        assert result.value == outcomes["mapping"][Exactness.EXACT][0]
+
+    @pytest.mark.parametrize("tier", list(Exactness))
+    def test_weights_need_a_shared_placement(self, tier, het_instance):
+        graph, platform, mapping = het_instance(4)
+        weights = {name: F(1, 2) for name in graph.nodes}
+        with pytest.raises(ValueError, match="weights only apply to shared"):
+            placement_evaluator(
+                graph, platform, mapping, weights=weights, shared=False,
+                exactness=tier,
+            )
+
+    def test_exhaustive_references_take_no_certified_flag(self):
+        # The float-gated form lives in the planner's exhaustive solver;
+        # the references stay plain exact scans (the latency flag never
+        # worked: it called the latency factory with the wrong arguments).
+        app = random_application(3, seed=1, filter_fraction=0.5)
+        for reference in (exhaustive_minperiod, exhaustive_minlatency):
+            with pytest.raises(TypeError):
+                reference(app, CommModel.OVERLAP, certified=True)
