@@ -3,6 +3,13 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
+# The bench targets write their tables and BENCH_*.json here; plain pytest
+# (and `make test`) runs the same assertions and writes no result file.
+BENCH_RESULTS ?= benchmarks/results
+bench bench-platform bench-search bench-concurrent bench-batched bench-serve \
+bench-topology bench-dynamic bench-robust bench-compare: \
+	export REPRO_BENCH_RESULTS = $(BENCH_RESULTS)
+
 .PHONY: test coverage bench bench-platform bench-search bench-concurrent \
 	bench-batched bench-serve bench-topology bench-dynamic bench-robust \
 	bench-compare serve-smoke profile docs gallery install

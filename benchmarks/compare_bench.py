@@ -25,13 +25,18 @@ Usage::
     python benchmarks/compare_bench.py                     # diff
 
 ``make bench-compare`` runs the three steps in order; CI snapshots the
-checked-out artifacts before ``make bench`` and diffs afterwards.
+checked-out artifacts before ``make bench`` and diffs afterwards.  The
+benchmarks write fresh artifacts only into ``$REPRO_BENCH_RESULTS``
+(the ``make bench*`` targets set it to ``benchmarks/results``); this
+script reads them from there, and the baseline always from the committed
+``benchmarks/results``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 import time
@@ -40,7 +45,11 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 HERE = Path(__file__).resolve().parent
-RESULTS_DIR = HERE / "results"
+#: The committed artifacts: what ``--snapshot`` copies as the baseline.
+COMMITTED_DIR = HERE / "results"
+#: Where the benchmarks wrote their fresh artifacts: ``$REPRO_BENCH_RESULTS``
+#: (see ``bench_helpers.py``), else the committed directory itself.
+RESULTS_DIR = Path(os.environ.get("REPRO_BENCH_RESULTS") or COMMITTED_DIR)
 DEFAULT_BASELINE = HERE / ".bench-baseline"
 
 #: The artifacts under the guard.
@@ -114,14 +123,14 @@ def snapshot(baseline_dir: Path) -> int:
     baseline_dir.mkdir(parents=True, exist_ok=True)
     copied = 0
     for name in BENCH_FILES:
-        src = RESULTS_DIR / name
+        src = COMMITTED_DIR / name
         if src.exists():
             shutil.copy2(src, baseline_dir / name)
             copied += 1
             print(f"snapshot: {src} -> {baseline_dir / name}")
         else:
             print(f"WARN  snapshot: {src} missing, skipped")
-    stamp = RESULTS_DIR / STAMP_FILE
+    stamp = COMMITTED_DIR / STAMP_FILE
     if stamp.exists():
         # The committed stamp of the machine that produced the baseline
         # walls — the reference _speed_factor() normalises against.
@@ -150,7 +159,7 @@ def snapshot(baseline_dir: Path) -> int:
 
 def stamp() -> int:
     """Record this machine's calibration next to the results it timed."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     calibration = _calibrate()
     (RESULTS_DIR / STAMP_FILE).write_text(
         json.dumps({"seconds": round(calibration, 6)}) + "\n"

@@ -37,7 +37,7 @@ from repro.core.numeric import FloatCosts
 from repro.planner import EvaluationCache, solve
 from repro.workloads.generators import random_application
 
-from bench_helpers import RESULTS_DIR, record
+from bench_helpers import record, write_result
 
 #: Candidate-scoring instance: n=8 keeps the scalar baseline sample
 #: cheap while the batched kernel sweeps a meaningful slice of the
@@ -204,8 +204,7 @@ def test_batched_throughput(benchmark):
     assert timed[-1]["value"] == reference["value"]
 
     payload = {"throughput": throughput, "anytime": anytime}
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_batched.json").write_text(
+    write_result("BENCH_batched.json",
         json.dumps(payload, indent=2) + "\n"
     )
 

@@ -21,7 +21,7 @@ from repro.optimize import greedy_shared_mapping
 from repro.planner import load_platform, solve_concurrent
 from repro.workloads import fig1_example
 
-from bench_helpers import RESULTS_DIR, record
+from bench_helpers import record, write_result
 
 F = Fraction
 
@@ -129,8 +129,7 @@ def test_concurrent_scaling(benchmark):
                 compared += 1
     assert compared >= 1  # the grid must keep the check non-vacuous
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_concurrent.json").write_text(
+    write_result("BENCH_concurrent.json",
         json.dumps({"shared_placement": rows}, indent=2) + "\n"
     )
     record(

@@ -24,7 +24,7 @@ import json
 from repro.core import Platform
 from repro.dynamic import flash_crowd_trace, replay
 
-from bench_helpers import RESULTS_DIR, record
+from bench_helpers import record, write_result
 
 #: Acceptance ceilings (ISSUE 9): period within 1.1x of cold, moves
 #: under a quarter of the cold churn.
@@ -49,8 +49,7 @@ def test_flash_crowd_warm_repair_vs_cold():
     # The comparison is meaningful only if the cold side actually churns.
     assert report.total_cold_moves > report.total_warm_moves
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_dynamic.json").write_text(
+    write_result("BENCH_dynamic.json",
         json.dumps(
             {
                 "trace": {

@@ -29,7 +29,7 @@ from fractions import Fraction
 from repro.planner import load_workload, solve
 from repro.robust import RobustSpec, degradation_report
 
-from bench_helpers import RESULTS_DIR, record
+from bench_helpers import record, write_result
 
 N = 6
 SEEDS = range(10)
@@ -93,8 +93,7 @@ def test_robust_plans_never_degrade_more_than_nominal():
     # separation: the sweep must contain real robust wins, not ties only
     assert strict_wins >= len(list(SEEDS)) * MIN_SEPARATION, strict_wins
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_robust.json").write_text(
+    write_result("BENCH_robust.json",
         json.dumps(
             {
                 "sweep": {

@@ -45,7 +45,7 @@ from repro.optimize.evaluation import Effort
 from repro.planner import EvaluationCache, load_workload, solve
 from repro.workloads.generators import random_application
 
-from bench_helpers import RESULTS_DIR, record
+from bench_helpers import record, write_result
 
 F = Fraction
 
@@ -291,8 +291,7 @@ def test_search_performance(benchmark):
         "local_search_incremental": ls_rows,
         "oneport_period": oneport_rows,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_search.json").write_text(
+    write_result("BENCH_search.json",
         json.dumps(payload, indent=2) + "\n"
     )
 

@@ -37,7 +37,7 @@ import time
 from repro.analysis import text_table
 from repro.serve import PlannerServer, ServeConfig
 
-from bench_helpers import RESULTS_DIR, record
+from bench_helpers import record, write_result
 
 #: Cold/warm mix: this many distinct workload shapes, one request each.
 DISTINCT = 16
@@ -154,8 +154,7 @@ def test_serve_load(benchmark):
             "duplicate_vs_cold": round(dup["rps"] / cold["rps"], 1),
         },
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_serve.json").write_text(
+    write_result("BENCH_serve.json",
         json.dumps(payload, indent=2) + "\n"
     )
 

@@ -32,7 +32,7 @@ from repro.optimize import Effort
 from repro.optimize.placement import clear_placement_memo, optimize_mapping
 from repro.workloads.generators import random_application, random_execution_graph
 
-from bench_helpers import RESULTS_DIR, record
+from bench_helpers import record, write_result
 
 #: Generous ceiling on hierarchical/flat wall-time ratio: the seed adds
 #: a linear partition pass on top of the shared local search, so even
@@ -101,8 +101,7 @@ def test_hierarchical_vs_flat_placement():
     # The partitioned seed must actually matter somewhere, not just tie.
     assert strict_wins >= 1, payload
 
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_topology.json").write_text(
+    write_result("BENCH_topology.json",
         json.dumps({"placement": payload}, indent=2) + "\n"
     )
     record(

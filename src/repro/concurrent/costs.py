@@ -17,20 +17,18 @@ exposes the quantities the sequels optimise:
   ``rho_a``: each service's load weighs ``1 / rho_a``; the mapping is
   feasible iff every server's utilisation is at most 1.
 
-All values are exact :class:`~fractions.Fraction` arithmetic, delegated to
-the shared-mapping :class:`~repro.core.CostModel` aggregation.
+All values are exact :class:`~fractions.Fraction` arithmetic, read off
+the shared-mapping :class:`~repro.core.CostModel` aggregation — weighted
+(``weights=``) for the utilisations and the per-application periods.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from ..core import CommModel, CostModel, Mapping, Platform
 from .multiapp import MultiApplication
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ConcurrentCosts:
@@ -65,6 +63,16 @@ class ConcurrentCosts:
         self.model = model
         self.costs = CostModel(multi.combined_graph, platform, mapping)
         self._weights = multi.weights()
+        # The utilisation readouts: the same aggregation with every
+        # service weighted by ``1 / rho_a`` (plain loads without targets).
+        self._utilisation = (
+            CostModel(
+                multi.combined_graph, platform, mapping,
+                arrays=self.costs.arrays, weights=self._weights,
+            )
+            if self._weights
+            else self.costs
+        )
 
     # -- system-wide -----------------------------------------------------------
     def system_period(self) -> Fraction:
@@ -73,8 +81,6 @@ class ConcurrentCosts:
         An empty system (no services mapped — e.g. every application
         evicted) sustains any period, so the bound degenerates to ``0``.
         """
-        if not self.costs.used_servers():
-            return ZERO
         return self.costs.period_lower_bound(self.model)
 
     def server_loads(self) -> Dict[str, Fraction]:
@@ -85,38 +91,22 @@ class ConcurrentCosts:
         }
 
     # -- per-application -------------------------------------------------------
-    def _app_sums(
-        self, name: str
-    ) -> Dict[str, Tuple[Fraction, Fraction, Fraction]]:
-        """Per-server (Cin, Ccomp, Cout) sums of one application's services."""
-        sums: Dict[str, Tuple[Fraction, Fraction, Fraction]] = {}
-        for svc in self.multi.app_services(name):
-            server = self.mapping.server(svc)
-            cin, ccomp, cout = (
-                self.costs.cin(svc),
-                self.costs.ccomp(svc),
-                self.costs.cout(svc),
-            )
-            old = sums.get(server, (ZERO, ZERO, ZERO))
-            sums[server] = (old[0] + cin, old[1] + ccomp, old[2] + cout)
-        return sums
-
-    def _combine(self, cin: Fraction, ccomp: Fraction, cout: Fraction) -> Fraction:
-        if self.model.overlaps_compute:
-            return max(cin, ccomp, cout)
-        return cin + ccomp + cout
-
     def app_period(self, name: str) -> Fraction:
         """The period application *name* demands under this placement.
 
         ``max_u`` of the application's own aggregated per-server load —
         the Theorem-1 bound of the application run alone with the same
-        placement (other applications' services excluded, intra-server
-        edges of the application itself still free).
+        placement (other applications' services weigh ``0``, intra-server
+        edges of the application itself still free).  An application
+        without services demands nothing: ``0``.
         """
-        return max(
-            self._combine(*sums) for sums in self._app_sums(name).values()
+        own = set(self.multi.app_services(name))
+        alone = CostModel(
+            self.multi.combined_graph, self.platform, self.mapping,
+            arrays=self.costs.arrays,
+            weights={svc: 0 for svc in self.costs.graph.nodes if svc not in own},
         )
+        return alone.period_lower_bound(self.model)
 
     def app_latency(self, name: str) -> Fraction:
         """Contention-free critical-path latency of application *name*."""
@@ -145,14 +135,7 @@ class ConcurrentCosts:
         Without targets every service weighs ``1``, so the "utilisation"
         degenerates to the absolute aggregated load.
         """
-        weights = self._weights or {}
-        cin = ccomp = cout = ZERO
-        for svc in self.costs.server_services(server):
-            w = weights.get(svc, ONE)
-            cin += self.costs.cin(svc) * w
-            ccomp += self.costs.ccomp(svc) * w
-            cout += self.costs.cout(svc) * w
-        return self._combine(cin, ccomp, cout)
+        return self._utilisation.server_cexec(server, self.model)
 
     def max_utilisation(self) -> Fraction:
         """``max_u`` utilisation — the sequels' load-balance objective.
@@ -160,10 +143,7 @@ class ConcurrentCosts:
         The empty system (no services mapped) loads no server at all, so
         its utilisation is ``0`` — not a ``max()`` over zero servers.
         """
-        used = self.costs.used_servers()
-        if not used:
-            return ZERO
-        return max(self.server_utilisation(u) for u in used)
+        return self._utilisation.period_lower_bound(self.model)
 
     def is_feasible(self) -> bool:
         """Every period target satisfiable: max utilisation at most 1.

@@ -7,14 +7,13 @@ reductions, benchmarks) is built on these types.
 
 from .batched import ForestBatch, MappingBatch, iter_forest_rows
 from .constants import INPUT, OUTPUT
-from .costs import CostModel, comm_edges
+from .costs import CostModel, GraphArrays, comm_edges
 from .graph import CycleError, Edge, ExecutionGraph, PrecedenceError
 from .models import ALL_MODELS, ONE_PORT_MODELS, CommModel
 from .numeric import (
     CERT_EPS,
     Exactness,
     FloatCosts,
-    GraphArrays,
     Incumbent,
     certified_threshold,
 )

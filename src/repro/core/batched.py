@@ -48,6 +48,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .constants import INPUT, OUTPUT
+from .costs import GraphArrays
 from .graph import ExecutionGraph
 from .models import CommModel
 from .platform import Mapping, Platform
@@ -331,8 +332,6 @@ class MappingBatch:
         weights=None,
         arrays=None,
     ) -> None:
-        from .numeric import GraphArrays
-
         if kind not in ("period", "latency"):
             raise ValueError(f"kind must be 'period' or 'latency', got {kind!r}")
         self.graph = graph

@@ -543,17 +543,9 @@ class IncrementalSharedCosts:
         self.assignment: Dict[str, str] = {
             svc: mapping.server(svc) for svc in graph.nodes
         }
-        app = graph.application
-        self._outsize: Dict[str, Num] = {}
-        self._work: Dict[str, Num] = {}
-        sigma = {n: num(app.selectivity(n)) for n in app.names}
-        costv = {n: num(app.cost(n)) for n in app.names}
-        for node in graph.topological_order:
-            prod = self._one
-            for j in graph.ancestors(node):
-                prod *= sigma[j]
-            self._outsize[node] = prod * sigma[node]
-            self._work[node] = prod * costv[node]
+        arrays = GraphArrays(graph, num)
+        self._outsize: Dict[str, Num] = dict(zip(arrays.names, arrays.outsize))
+        self._work: Dict[str, Num] = dict(zip(arrays.names, arrays.work))
         self._triple: Dict[str, Tuple[Num, Num, Num]] = {}
         self._sums: Dict[str, List[Num]] = {}
         for node in graph.nodes:
@@ -762,40 +754,6 @@ class FloatMappingCosts(IncrementalMappingCosts):
     _num = staticmethod(float)
 
 
-def exact_placement_value(
-    graph: ExecutionGraph,
-    platform: Optional[Platform],
-    mapping: Mapping,
-    *,
-    model: CommModel = CommModel.OVERLAP,
-    weights: Optional[Dict[str, Fraction]] = None,
-    shared: bool = False,
-) -> Fraction:
-    """Exact (Fraction) placement objective of one concrete mapping.
-
-    The value the incremental evaluators maintain, computed from scratch
-    through :class:`~repro.core.CostModel` — which prices contended
-    topologies correctly (effective bandwidths under the mapping's flow
-    pattern).  ``shared``/*weights* switch to the per-server weighted
-    aggregation of the concurrent regime; otherwise this is
-    ``CostModel(...).period_lower_bound(model)`` verbatim.
-    """
-    costs = CostModel(graph, platform, mapping)
-    if not shared and not weights:
-        return costs.period_lower_bound(model)
-    zero = Fraction(0)
-    sums: Dict[str, List[Fraction]] = {}
-    for node in graph.nodes:
-        acc = sums.setdefault(mapping.server(node), [zero, zero, zero])
-        w = weights.get(node, ONE) if weights else ONE
-        acc[0] += w * costs.cin(node)
-        acc[1] += w * costs.ccomp(node)
-        acc[2] += w * costs.cout(node)
-    if model.overlaps_compute:
-        return max(max(acc) for acc in sums.values())
-    return max(acc[0] + acc[1] + acc[2] for acc in sums.values())
-
-
 class FullPlacementCosts:
     """Full-recompute placement evaluator for contended topologies.
 
@@ -805,13 +763,19 @@ class FullPlacementCosts:
     :class:`IncrementalSharedCosts` are invalid.  This evaluator speaks
     the same protocol (``value``/``score_*``/``apply_*``/``assignment``/
     ``mapping``) but re-prices each candidate mapping from scratch through
-    :func:`exact_placement_value`; :class:`FloatFullPlacementCosts` is its
-    float twin.
+    the :class:`~repro.core.CostModel` of its number type, sharing one
+    :class:`~repro.core.GraphArrays` across every mapping;
+    :class:`FloatFullPlacementCosts` is its float twin.  *weights* (or
+    ``shared=True``) price the per-server aggregate of the concurrent
+    regime.
     """
+
+    #: The cost class of this evaluator's number type.
+    _costs = CostModel
 
     __slots__ = (
         "graph", "platform", "model", "weights", "shared", "assignment",
-        "_value",
+        "_arrays", "_value",
     )
 
     def __init__(
@@ -833,13 +797,14 @@ class FullPlacementCosts:
         self.assignment: Dict[str, str] = {
             svc: mapping.server(svc) for svc in graph.nodes
         }
+        self._arrays = GraphArrays(graph, self._costs._num)
         self._value = self._price(self.mapping())
 
     def _price(self, mapping: Mapping) -> Num:
-        return exact_placement_value(
+        return self._costs(
             self.graph, self.platform, mapping,
-            model=self.model, weights=self.weights, shared=self.shared,
-        )
+            arrays=self._arrays, weights=self.weights,
+        ).period_lower_bound(self.model)
 
     # -- public API (the incremental evaluators' protocol) ------------------
     def value(self) -> Num:
@@ -872,23 +837,11 @@ class FullPlacementCosts:
 
 
 class FloatFullPlacementCosts(FullPlacementCosts):
-    """Float twin of :class:`FullPlacementCosts` (the fast tier).
+    """Float twin of :class:`FullPlacementCosts` (the fast tier)."""
 
-    Prices each candidate on the :class:`~repro.core.FloatCosts` kernel,
-    sharing one :class:`~repro.core.GraphArrays` across every mapping.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_arrays",)
-
-    def __init__(self, graph: ExecutionGraph, *args, **kwargs) -> None:
-        self._arrays = GraphArrays(graph)
-        super().__init__(graph, *args, **kwargs)
-
-    def _price(self, mapping: Mapping) -> Num:
-        return FloatCosts(
-            self.graph, self.platform, mapping,
-            arrays=self._arrays, weights=self.weights,
-        ).period_lower_bound(self.model)
+    _costs = FloatCosts
 
 
 def placement_evaluator(
@@ -939,7 +892,6 @@ __all__ = [
     "IncrementalForestPeriod",
     "IncrementalMappingCosts",
     "IncrementalSharedCosts",
-    "exact_placement_value",
     "period_delta",
     "placement_evaluator",
 ]

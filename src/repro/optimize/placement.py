@@ -34,6 +34,7 @@ from ..core import (
     CostModel,
     Exactness,
     ExecutionGraph,
+    GraphArrays,
     Incumbent,
     Mapping,
     MappingBatch,
@@ -227,6 +228,7 @@ def optimize_mapping(
         (Fraction(3, 1), 'S2')
     """
     from .evaluation import (
+        _normalise,
         latency_objective,
         period_is_bound,
         period_objective,
@@ -251,10 +253,20 @@ def optimize_mapping(
         _memo.move_to_end(memo_key)
         return found
 
-    def score(mapping: Mapping) -> Fraction:
-        if kind == "period":
-            return period_objective(graph, model, effort, platform, mapping)
-        return latency_objective(graph, model, effort, platform, mapping)
+    if kind == "period":
+        # One exact compilation of the graph serves every candidate mapping.
+        arrays = GraphArrays(graph, CostModel._num)
+
+        def score(mapping: Mapping) -> Fraction:
+            costs = CostModel(
+                graph, *_normalise(platform, mapping), arrays=arrays
+            )
+            return period_objective(
+                graph, model, effort, platform, mapping, costs=costs
+            )
+    else:
+        def score(mapping: Mapping) -> Fraction:
+            return latency_objective(graph, model, effort, platform, mapping)
 
     platform.require_capacity(len(graph.nodes))
     space = mapping_space_size(len(graph.nodes), len(platform))
@@ -438,7 +450,7 @@ def optimize_shared_mapping(
         >>> value, mapping.services_on(mapping.server("A"))
         (Fraction(6, 1), ('A',))
     """
-    from .incremental import IncrementalSharedCosts, placement_evaluator
+    from .incremental import placement_evaluator
     from .local_search import shared_placement_local_search
 
     exactness = Exactness.coerce(exactness)
@@ -463,22 +475,12 @@ def optimize_shared_mapping(
         return outcome
     method = shared_search_method(len(services), len(platform), exhaustive_limit)
     if method == "shared-exhaustive":
-        if platform.has_contention:
-            # The incremental evaluator refuses contended topologies (its
-            # deltas assume static bandwidths); score each candidate from
-            # scratch through the contention-aware exact model instead.
-            from .incremental import exact_placement_value
+        arrays = GraphArrays(graph, CostModel._num)
 
-            def exact_value(mapping):
-                return exact_placement_value(
-                    graph, platform, mapping, model=model,
-                    weights=weights, shared=True,
-                )
-        else:
-            def exact_value(mapping):
-                return IncrementalSharedCosts(
-                    graph, platform, mapping, model=model, weights=weights
-                ).value()
+        def exact_value(mapping):
+            return CostModel(
+                graph, platform, mapping, arrays=arrays, weights=weights
+            ).period_lower_bound(model)
 
         batch = (
             _make_mapping_batch(

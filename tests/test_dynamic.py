@@ -24,7 +24,7 @@ import pytest
 from repro import Mapping, Platform
 from repro.__main__ import main as cli_main
 from repro.concurrent import ConcurrentApp, ConcurrentCosts, MultiApplication
-from repro.core import Application, CommModel, ExecutionGraph
+from repro.core import Application, CommModel, CostModel, ExecutionGraph
 from repro.dynamic import (
     DIURNAL_CURVE,
     DynamicState,
@@ -47,12 +47,8 @@ from repro.optimize import (
     greedy_shared_mapping,
     optimize_shared_mapping,
 )
-from repro.optimize.incremental import (
-    FullPlacementCosts,
-    exact_placement_value,
-    placement_evaluator,
-)
-from repro.planner import load_concurrent_workload, load_platform
+from repro.optimize.incremental import FullPlacementCosts, placement_evaluator
+from repro.planner import load_concurrent_workload, load_platform, solve_concurrent
 
 F = Fraction
 
@@ -87,6 +83,23 @@ class TestEmptySystem:
         assert costs.max_utilisation() == 0
         assert costs.system_period() == 0
         assert costs.is_feasible()
+
+    def test_member_without_services_beside_a_real_one(self):
+        # solve_concurrent used to raise ValueError from ``max()`` in
+        # ConcurrentCosts.app_period, and app_latency from
+        # CostModel.latency_lower_bound, for the empty member.
+        app = load_concurrent_workload("fig1").multi.members[0].graph.application
+        multi = MultiApplication([
+            ConcurrentApp("x", ExecutionGraph.empty(app)),
+            ConcurrentApp("e", ExecutionGraph.empty(Application(()))),
+        ])
+        result = solve_concurrent(multi, platform=Platform.homogeneous(3))
+        assert result.app_periods["e"] == 0
+        assert result.app_latencies["e"] == 0
+        assert result.app_periods["x"] > 0
+        costs = ConcurrentCosts(multi, Platform.homogeneous(3), result.mapping)
+        assert costs.app_period("e") == 0
+        assert costs.app_latency("e") == 0
 
     def test_zero_member_multi_application(self):
         multi = MultiApplication([])
@@ -391,8 +404,8 @@ class TestContentionGate:
         value, mapping = optimize_shared_mapping(
             graph, CommModel.OVERLAP, platform, weights=None
         )
-        assert value == exact_placement_value(
-            graph, platform, mapping, model=CommModel.OVERLAP, shared=True
+        assert value == CostModel(graph, platform, mapping).period_lower_bound(
+            CommModel.OVERLAP
         )
 
     def test_optimize_shared_mapping_local_search_branch(self):
@@ -404,8 +417,8 @@ class TestContentionGate:
         value, mapping = optimize_shared_mapping(
             graph, CommModel.OVERLAP, platform, weights=None
         )
-        assert value == exact_placement_value(
-            graph, platform, mapping, model=CommModel.OVERLAP, shared=True
+        assert value == CostModel(graph, platform, mapping).period_lower_bound(
+            CommModel.OVERLAP
         )
 
     def test_cold_solve_under_drain_on_contended_tree(self):
@@ -414,10 +427,9 @@ class TestContentionGate:
         drained = frozenset({platform.names[0]})
         value, mapping = cold_solve(multi, platform, drained=drained)
         assert platform.names[0] not in dict(mapping.items()).values()
-        assert value == exact_placement_value(
-            multi.combined_graph, platform, mapping,
-            model=CommModel.OVERLAP, shared=True,
-        )
+        assert value == CostModel(
+            multi.combined_graph, platform, mapping
+        ).period_lower_bound(CommModel.OVERLAP)
 
     def test_replan_maintenance_on_contended_tree(self):
         platform = tree_platform()

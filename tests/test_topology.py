@@ -407,11 +407,7 @@ class TestCertifiedBitForBit:
 
 
 def _shared_value(graph, platform, mapping, model):
-    from repro.optimize.incremental import exact_placement_value
-
-    return exact_placement_value(
-        graph, platform, mapping, model=model, shared=True
-    )
+    return CostModel(graph, platform, mapping).period_lower_bound(model)
 
 
 class TestIncrementalGates:
